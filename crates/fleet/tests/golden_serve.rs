@@ -1,10 +1,12 @@
 //! Byte-stable golden `SERVE.json` for the PR-4/PR-5 serving scenarios.
 //!
-//! The fixture was captured from the engine *before* the streaming-
-//! statistics rewrite, so this test is the acceptance gate that
-//! `retain_records = on` (the default) reproduces the record-retaining
-//! engine's report byte-for-byte: same event ordering, same percentile
-//! arithmetic, same JSON. Regenerate (only when a change is meant to
+//! The retained-mode scenarios were captured from the engine *before*
+//! the streaming-statistics rewrite, so this test is the acceptance
+//! gate that `retain_records = on` (the default) reproduces the
+//! record-retaining engine's report byte-for-byte: same event ordering,
+//! same percentile arithmetic, same JSON. The `streaming_hbm` scenario
+//! pins the streaming mode the same way: sketch percentiles, windowed
+//! rollups, and the contended event path. Regenerate (only when a change is meant to
 //! move serving numbers) with
 //! `UPDATE_GOLDEN=1 cargo test -p tandem-fleet --test golden_serve`.
 
@@ -39,7 +41,10 @@ fn oversubscribed_rate(catalog: &Catalog, mix: &[(usize, f64)], size: usize, fac
 /// The PR-4/PR-5 scenario set, shrunk to integration-test size: the
 /// mixed Poisson sweep, the BERT-heavy mix, the closed loop, and the
 /// BERT-heavy mix again on a finite shared-HBM budget (PR-5's
-/// contention scenario).
+/// contention scenario) — plus that contended mix once more in
+/// streaming mode (no retained records, sketched percentiles) with
+/// windowed rollups, which pins the sketch path and the rollups to the
+/// byte.
 fn scenarios(catalog: &Catalog) -> Vec<ServeScenario> {
     let template = FleetConfig::homogeneous(NpuConfig::paper(), 1);
     let fleet_sizes = vec![1, 2, 4];
@@ -49,6 +54,9 @@ fn scenarios(catalog: &Catalog) -> Vec<ServeScenario> {
     let bert_rate = oversubscribed_rate(catalog, &bert_mix, 4, 1.5);
     let mut hbm_template = template.clone();
     hbm_template.hbm_gbps = Some(8.0);
+    let mut streaming_template = hbm_template.clone();
+    streaming_template.retain_records = false;
+    streaming_template.rollup_window_ns = Some(50_000_000);
     vec![
         ServeScenario {
             name: "mixed".into(),
@@ -106,6 +114,23 @@ fn scenarios(catalog: &Catalog) -> Vec<ServeScenario> {
             name: "contention_hbm".into(),
             spec: SweepSpec {
                 template: hbm_template,
+                fleet_sizes: fleet_sizes.clone(),
+                policies: Policy::ALL.to_vec(),
+                hbm_budgets: Vec::new(),
+                workload: WorkloadSpec {
+                    mix: bert_mix.clone(),
+                    arrival: ArrivalProcess::Poisson {
+                        rate_rps: bert_rate,
+                    },
+                    seed: 42,
+                    requests: 48,
+                },
+            },
+        },
+        ServeScenario {
+            name: "streaming_hbm".into(),
+            spec: SweepSpec {
+                template: streaming_template,
                 fleet_sizes,
                 policies: Policy::ALL.to_vec(),
                 hbm_budgets: Vec::new(),
@@ -115,7 +140,7 @@ fn scenarios(catalog: &Catalog) -> Vec<ServeScenario> {
                         rate_rps: bert_rate,
                     },
                     seed: 42,
-                    requests: 48,
+                    requests: 96,
                 },
             },
         },
