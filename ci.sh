@@ -16,6 +16,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# perfbench/ is a workspace of its own, so the root `cargo test` never
+# compiles it; build and test it here so a library API change cannot
+# break the benchmark unnoticed.
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Static verification of the full zoo in both loop-summarization modes.
 # The budget holds the widened (production) mode to autotuner-gate speed:
 # the full-zoo widened verify measured ~17ms locally, so 250ms leaves

@@ -72,6 +72,7 @@
 
 mod engine;
 mod events;
+mod lanes;
 pub mod llm;
 mod memory;
 mod policy;

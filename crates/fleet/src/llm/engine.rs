@@ -16,23 +16,23 @@
 //! scaling reuses the fleet's sub-linear batch-service model
 //! ([`FleetConfig::batch_marginal`]), and when a shared HBM budget is
 //! configured each iteration's DRAM footprint (weights + the growing KV
-//! pages) becomes a bandwidth demand through the same
-//! [`MemorySystem`] max-min fair allocator the whole-graph engine uses
-//! — completions are generation-stamped and rescheduled whenever the
-//! set of serving NPUs changes. Per-request accounting keeps the fleet
-//! invariant exact: `latency == queue + warmup + service + mem_stall`
-//! for every completed request (prefill and KV re-warm charges count as
-//! warm-up; the decode share of each iteration counts as service).
+//! pages) becomes a bandwidth demand on the contended-lane core the
+//! whole-graph engine also drives ([`crate::lanes`]) — iteration ends
+//! are generation-stamped and rescheduled whenever the set of serving
+//! NPUs changes. Per-request accounting goes through the same shared
+//! ledger and keeps the fleet invariant exact:
+//! `latency == queue + warmup + service + mem_stall` for every
+//! completed request (prefill and KV re-warm charges count as warm-up;
+//! the decode share of each iteration counts as service).
 
 use crate::engine::FleetConfig;
 use crate::events::EventQueue;
+use crate::lanes::{Lanes, Ledger};
 use crate::llm::model::DecodeModel;
 use crate::llm::workload::LlmRequest;
-use crate::memory::{Allocation, BandwidthDemand, MemorySystem};
-use crate::report::{
-    FleetReport, LatencyStats, LlmRecord, LlmStats, ModelStats, NpuUsage, RequestRecord,
-};
-use crate::stats::LatencySketch;
+use crate::memory::{BandwidthDemand, MemorySystem};
+use crate::report::{FleetReport, LlmRecord, LlmStats, RequestRecord};
+use crate::stats::LatencyAccumulator;
 use std::collections::VecDeque;
 use std::mem;
 use tandem_npu::ExecStats;
@@ -79,8 +79,8 @@ impl LlmMode {
 /// Configuration of an LLM serving run. The embedded [`FleetConfig`]
 /// supplies the fleet members and the shared serving knobs (`max_batch`,
 /// `batch_window_ns`, `batch_marginal`, `bw_gbps`/`hbm_gbps`,
-/// `retain_records`); its queue bound, deadline, per-node warm-up, and
-/// rollup knobs are not consulted — LLM admission is unbounded and
+/// `retain_records`, `rollup_window_ns`); its queue bound, deadline, and
+/// per-node warm-up are not consulted — LLM admission is unbounded and
 /// warm-up here means prefill/re-warm, not compile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlmConfig {
@@ -139,9 +139,10 @@ impl Member {
     }
 }
 
-/// Per-NPU serving lane: the running batch plus the in-flight iteration.
+/// Per-NPU batch state; the in-flight iteration's timing is the NPU's
+/// lane in [`Lanes`].
 #[derive(Debug, Default)]
-struct Lane {
+struct Batch {
     members: Vec<Member>,
     /// Per-member warm-up charge of the current iteration (own solo
     /// prefill + own re-warm), parallel to `members`.
@@ -149,30 +150,18 @@ struct Lane {
     /// Preempted requests parked on their home NPU (KV locality: the
     /// persisted pages live in this member's DRAM).
     paused: VecDeque<Member>,
-    busy: bool,
     /// Static mode: the formed batch size decode steps stay scaled by.
     static_k: usize,
     /// A batch-window poke is already in the heap.
     poke_armed: bool,
     // --- current iteration ---
-    start_ns: u64,
-    /// Nominal (uncontended) iteration length.
-    nominal_ns: u64,
     prefills: u64,
     decodes: u64,
     max_ctx: u64,
-    /// Generation stamped into the scheduled `EV_STEP`.
-    gen: u64,
-    /// Progress through the nominal iteration, in nominal nanoseconds.
-    progress: f64,
-    accrued_ns: u64,
-    rate: f64,
-    eta_ns: u64,
-    demand: BandwidthDemand,
 }
 
 /// Per-request running accounts (indexed by request).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Acct {
     /// When the request last became waiting (arrival or preemption).
     wait_since: u64,
@@ -182,20 +171,6 @@ struct Acct {
     stall_ns: u64,
     first_token_ns: u64,
     preemptions: u32,
-}
-
-impl Default for Acct {
-    fn default() -> Self {
-        Acct {
-            wait_since: 0,
-            queue_ns: 0,
-            warmup_ns: 0,
-            service_ns: 0,
-            stall_ns: 0,
-            first_token_ns: u64::MAX,
-            preemptions: 0,
-        }
-    }
 }
 
 /// An LLM-serving fleet: a configuration bound to prebuilt
@@ -215,54 +190,40 @@ struct Sim<'a> {
     class_names: [String; 2],
     n_npus: usize,
     events: EventQueue,
-    lanes: Vec<Lane>,
+    batches: Vec<Batch>,
+    /// Per-NPU iteration lanes over the shared memory system.
+    lanes: Lanes,
     acct: Vec<Acct>,
     /// Latency-critical waiting queue (continuous modes only).
     wait_lat: VecDeque<u32>,
     /// Throughput-class waiting queue (every arrival in static mode).
     wait_batch: VecDeque<u32>,
-    mem: MemorySystem,
-    gen: u64,
-    usage: Vec<NpuUsage>,
-    /// Waiting requests (fresh + paused).
-    depth: u64,
-    peak_depth: u64,
-    depth_samples: Vec<(u64, u64)>,
-    makespan_ns: u64,
     arrived: u64,
-    completed: u64,
-    retain: bool,
-    records: Vec<RequestRecord>,
+    /// Waiting requests (fresh + paused) are the ledger's depth; the
+    /// record's `model` is the latency class.
+    ledger: Ledger,
     llm: LlmStats,
-    ttfts: Vec<u64>,
-    tpots: Vec<u64>,
-    lat_sketch: LatencySketch,
-    queue_sketch: LatencySketch,
-    stall_sketch: LatencySketch,
-    ttft_sketch: LatencySketch,
-    tpot_sketch: LatencySketch,
-    class_sketches: [LatencySketch; 2],
-    serving_buf: Vec<Option<BandwidthDemand>>,
-    alloc_buf: Allocation,
+    ttft: LatencyAccumulator,
+    tpot: LatencyAccumulator,
+    /// Per-request LLM detail (records retained only).
+    per_request: Option<Vec<LlmRecord>>,
 }
 
 impl Sim<'_> {
-    fn sample_depth(&mut self, at: u64) {
-        self.peak_depth = self.peak_depth.max(self.depth);
-        if self.retain && self.depth_samples.last().map(|&(t, d)| (t, d)) != Some((at, self.depth))
-        {
-            self.depth_samples.push((at, self.depth));
-        }
-    }
-
     /// Books the queueing interval that ends with this admission.
     fn note_join(&mut self, idx: u32, now: u64) {
         let a = &mut self.acct[idx as usize];
         a.queue_ns += now - a.wait_since;
     }
 
+    /// Whether NPU `n` has neither an iteration in flight nor members.
+    fn vacant(&self, n: usize) -> bool {
+        !self.lanes.busy(n) && self.batches[n].members.is_empty()
+    }
+
     fn on_arrival(&mut self, idx: u32, now: u64, sink: &mut dyn TraceSink) {
         self.arrived += 1;
+        self.ledger.arrival(now);
         let r = self.reqs[idx as usize];
         self.acct[idx as usize].wait_since = now;
         let class = usize::from(!r.latency_class);
@@ -273,11 +234,10 @@ impl Sim<'_> {
             _ if r.latency_class => self.wait_lat.push_back(idx),
             _ => self.wait_batch.push_back(idx),
         }
-        self.depth += 1;
-        self.sample_depth(now);
-        spans::queue_depth(sink, now, self.depth);
+        self.ledger.depth += 1;
+        self.ledger.sample_depth(now, sink);
         for n in 0..self.n_npus {
-            if !self.lanes[n].busy && self.lanes[n].members.is_empty() {
+            if self.vacant(n) {
                 match self.cfg.mode {
                     LlmMode::Static => self.try_start_static(n, now, sink),
                     _ => {
@@ -296,10 +256,10 @@ impl Sim<'_> {
     /// joined.
     fn admit(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) -> bool {
         let mut any = false;
-        while self.lanes[n].members.len() < self.cfg.fleet.max_batch {
+        while self.batches[n].members.len() < self.cfg.fleet.max_batch {
             let member = if let Some(idx) = self.wait_lat.pop_front() {
                 Member::fresh(idx)
-            } else if let Some(mut m) = self.lanes[n].paused.pop_front() {
+            } else if let Some(mut m) = self.batches[n].paused.pop_front() {
                 let r = self.reqs[m.idx as usize];
                 let cache = r.prompt_tokens + m.tokens as usize;
                 m.rewarm_blocks = (cache / self.model.block_tokens()).max(1) as u32;
@@ -312,13 +272,12 @@ impl Sim<'_> {
                 break;
             };
             self.note_join(member.idx, now);
-            self.lanes[n].members.push(member);
-            self.depth -= 1;
+            self.batches[n].members.push(member);
+            self.ledger.depth -= 1;
             any = true;
         }
         if any {
-            self.sample_depth(now);
-            spans::queue_depth(sink, now, self.depth);
+            self.ledger.sample_depth(now, sink);
         }
         any
     }
@@ -326,7 +285,7 @@ impl Sim<'_> {
     /// Static-mode batch formation: start only when the queue can fill
     /// the batch or the head has out-waited the window.
     fn try_start_static(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
-        if self.lanes[n].busy || !self.lanes[n].members.is_empty() {
+        if !self.vacant(n) {
             return;
         }
         let qlen = self.wait_batch.len();
@@ -342,8 +301,8 @@ impl Sim<'_> {
             if now >= deadline {
                 qlen
             } else {
-                if !self.lanes[n].poke_armed {
-                    self.lanes[n].poke_armed = true;
+                if !self.batches[n].poke_armed {
+                    self.batches[n].poke_armed = true;
                     self.events.push(deadline.max(now + 1), EV_POKE, n as u64);
                 }
                 return;
@@ -352,12 +311,11 @@ impl Sim<'_> {
         for _ in 0..take {
             let idx = self.wait_batch.pop_front().expect("sized above");
             self.note_join(idx, now);
-            self.lanes[n].members.push(Member::fresh(idx));
-            self.depth -= 1;
+            self.batches[n].members.push(Member::fresh(idx));
+            self.ledger.depth -= 1;
         }
-        self.lanes[n].static_k = take;
-        self.sample_depth(now);
-        spans::queue_depth(sink, now, self.depth);
+        self.batches[n].static_k = take;
+        self.ledger.sample_depth(now, sink);
         self.begin_iteration(n, now, sink);
     }
 
@@ -367,15 +325,14 @@ impl Sim<'_> {
     /// contention, registers the iteration's bandwidth demand.
     fn begin_iteration(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
         let marginal = self.cfg.fleet.batch_marginal;
-        let mut members = mem::take(&mut self.lanes[n].members);
-        let mut warm = mem::take(&mut self.lanes[n].warm_charge);
-        warm.clear();
+        let b = &mut self.batches[n];
+        b.warm_charge.clear();
         let (mut k_p, mut k_d) = (0u64, 0u64);
         let (mut prefill_max, mut decode_max) = (0u64, 0u64);
         let mut rewarm_total = 0u64;
         let mut bytes = 0u64;
         let mut max_ctx = 0u64;
-        for m in &mut members {
+        for m in &mut b.members {
             let r = &self.reqs[m.idx as usize];
             let cache = r.prompt_tokens + m.tokens as usize;
             max_ctx = max_ctx.max(cache as u64);
@@ -398,7 +355,7 @@ impl Sim<'_> {
                 w += rw;
                 m.rewarm_blocks = 0; // charged once, here
             }
-            warm.push(w);
+            b.warm_charge.push(w);
         }
         let scale = |solo: u64, k: u64| {
             if solo == 0 || k == 0 {
@@ -410,28 +367,18 @@ impl Sim<'_> {
         // Static batching pays for the formed batch size even after
         // members finished — the padding cost continuous batching avoids.
         let k_decode = match self.cfg.mode {
-            LlmMode::Static => (self.lanes[n].static_k as u64).max(k_d),
+            LlmMode::Static => (b.static_k as u64).max(k_d),
             _ => k_d,
         };
         let decode_part = scale(decode_max, k_decode);
         let prefill_part = scale(prefill_max, k_p);
         let nominal = (prefill_part + decode_part + rewarm_total).max(1);
-        let batch = members.len();
-        let lane = &mut self.lanes[n];
-        lane.members = members;
-        lane.warm_charge = warm;
-        lane.busy = true;
-        lane.start_ns = now;
-        lane.nominal_ns = nominal;
-        lane.prefills = k_p;
-        lane.decodes = k_d;
-        lane.max_ctx = max_ctx;
-        lane.progress = 0.0;
-        lane.accrued_ns = now;
-        lane.rate = 1.0;
-        lane.eta_ns = u64::MAX;
-        let contended = self.mem.enabled();
-        let u = &mut self.usage[n];
+        let batch = b.members.len();
+        b.prefills = k_p;
+        b.decodes = k_d;
+        b.max_ctx = max_ctx;
+        let contended = self.lanes.contended();
+        let u = &mut self.ledger.usage[n];
         u.batches += 1;
         u.warmups += k_p;
         u.warmup_ns += prefill_part + rewarm_total;
@@ -440,76 +387,13 @@ impl Sim<'_> {
         self.llm.iterations += 1;
         self.llm.prefills += k_p;
         self.llm.max_batch_seen = self.llm.max_batch_seen.max(batch as u64);
-        if contended {
-            self.lanes[n].demand = self.mem.demand(n, bytes, nominal);
-            self.reallocate(now, sink);
+        let demand = if contended {
+            self.lanes.mem().demand(n, bytes, nominal)
         } else {
-            self.gen += 1;
-            self.lanes[n].gen = self.gen;
-            self.lanes[n].eta_ns = now + nominal;
-            self.events.push(
-                now + nominal,
-                EV_STEP,
-                self.gen * self.n_npus as u64 + n as u64,
-            );
-        }
-    }
-
-    /// Recomputes the fair-share allocation and every busy lane's
-    /// iteration-boundary time — the same piecewise-constant-rate
-    /// machinery as the whole-graph engine, with the iteration as the
-    /// reschedulable unit.
-    fn reallocate(&mut self, now: u64, sink: &mut dyn TraceSink) {
-        let n_npus = self.n_npus;
-        for i in 0..n_npus {
-            if self.lanes[i].busy {
-                let l = &mut self.lanes[i];
-                l.progress += (now - l.accrued_ns) as f64 * l.rate;
-                l.accrued_ns = now;
-            }
-        }
-        let mut serving = mem::take(&mut self.serving_buf);
-        serving.clear();
-        serving.extend((0..n_npus).map(|i| self.lanes[i].busy.then(|| self.lanes[i].demand)));
-        let mut alloc = mem::take(&mut self.alloc_buf);
-        self.mem.allocate_into(&serving, &mut alloc);
-        for i in 0..n_npus {
-            if !self.lanes[i].busy {
-                continue;
-            }
-            self.lanes[i].rate = alloc.rates[i];
-            let remaining = (self.lanes[i].nominal_ns as f64 - self.lanes[i].progress).max(0.0);
-            let eta = if remaining == 0.0 {
-                now
-            } else {
-                now + (remaining / self.lanes[i].rate).ceil() as u64
-            };
-            // Physics floor: contention can only push an iteration
-            // boundary past its nominal end, never before it.
-            let eta = eta.max(self.lanes[i].start_ns + self.lanes[i].nominal_ns);
-            if self.lanes[i].eta_ns == eta {
-                continue; // the already-scheduled event still stands
-            }
-            self.lanes[i].eta_ns = eta;
-            self.gen += 1;
-            self.lanes[i].gen = self.gen;
-            self.events
-                .push(eta, EV_STEP, self.gen * n_npus as u64 + i as u64);
-        }
-        if sink.enabled() {
-            let cgbps = |g: f64| (g * 100.0).round() as u64;
-            spans::hbm_bandwidth(
-                sink,
-                now,
-                cgbps(alloc.demand_gbps),
-                cgbps(alloc.granted_gbps),
-            );
-            if alloc.throttled > 0 {
-                spans::hbm_throttle(sink, now, alloc.throttled as u64);
-            }
-        }
-        self.serving_buf = serving;
-        self.alloc_buf = alloc;
+            BandwidthDemand::default()
+        };
+        self.lanes
+            .begin(n, now, nominal, demand, &mut self.events, sink);
     }
 
     /// Ends lane `n`'s iteration at `now`: accounts every member's
@@ -517,13 +401,11 @@ impl Sim<'_> {
     /// preempts/admits per the mode, and immediately launches the next
     /// iteration if members remain.
     fn end_iteration(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
-        let (start, nominal, k_p, k_d, max_ctx) = {
-            let l = &self.lanes[n];
-            (l.start_ns, l.nominal_ns, l.prefills, l.decodes, l.max_ctx)
-        };
-        let stall = now - (start + nominal);
-        self.usage[n].mem_stall_ns += stall;
-        let batch = self.lanes[n].members.len();
+        let stall = self.lanes.finish(n, now);
+        let (start, nominal) = (self.lanes.start_ns(n), self.lanes.nominal_ns(n));
+        self.ledger.usage[n].mem_stall_ns += stall;
+        let b = &self.batches[n];
+        let batch = b.members.len();
         spans::llm_step_span(
             sink,
             n as u16,
@@ -531,12 +413,12 @@ impl Sim<'_> {
             start,
             now - start,
             batch as u64,
-            k_p,
-            k_d,
-            max_ctx,
+            b.prefills,
+            b.decodes,
+            b.max_ctx,
         );
-        let mut members = mem::take(&mut self.lanes[n].members);
-        let warm = mem::take(&mut self.lanes[n].warm_charge);
+        let mut members = mem::take(&mut self.batches[n].members);
+        let warm = mem::take(&mut self.batches[n].warm_charge);
         debug_assert_eq!(members.len(), warm.len());
         for (m, &w) in members.iter_mut().zip(&warm) {
             let a = &mut self.acct[m.idx as usize];
@@ -556,42 +438,32 @@ impl Sim<'_> {
         spans::tokens_out(sink, now, self.llm.tokens_out);
         // Retire finished members in place (batch recorded pre-retire:
         // the iteration they completed in ran at that size).
-        let mut w = 0;
-        for i in 0..members.len() {
-            let m = members[i];
-            if (m.tokens as usize) >= self.reqs[m.idx as usize].output_tokens {
+        members.retain(|&m| {
+            let done = (m.tokens as usize) >= self.reqs[m.idx as usize].output_tokens;
+            if done {
                 self.finish_member(m, n, batch, now);
-            } else {
-                members[w] = m;
-                w += 1;
             }
-        }
-        members.truncate(w);
-        self.lanes[n].members = members;
-        self.lanes[n].warm_charge = warm;
-        self.lanes[n].busy = false;
-        self.makespan_ns = self.makespan_ns.max(now);
+            !done
+        });
+        self.ledger
+            .phase_done(now, (batch - members.len()) as u64, now - start);
+        self.batches[n].members = members;
+        self.batches[n].warm_charge = warm;
+        self.ledger.observe(now);
         match self.cfg.mode {
-            LlmMode::Static => {
-                // No joins mid-flight: drain fully, then form anew.
-                if self.lanes[n].members.is_empty() {
-                    if self.mem.enabled() {
-                        self.reallocate(now, sink);
-                    }
-                    self.try_start_static(n, now, sink);
-                } else {
-                    self.begin_iteration(n, now, sink);
-                }
+            // No joins mid-flight: drain fully, then form anew.
+            LlmMode::Static if self.batches[n].members.is_empty() => {
+                self.lanes.reshare(now, &mut self.events, sink);
+                self.try_start_static(n, now, sink);
             }
+            LlmMode::Static => self.begin_iteration(n, now, sink),
             mode => {
                 if mode == LlmMode::Preemptive {
                     self.preempt(n, now, sink);
                 }
                 self.admit(n, now, sink);
-                if self.lanes[n].members.is_empty() {
-                    if self.mem.enabled() {
-                        self.reallocate(now, sink);
-                    }
+                if self.batches[n].members.is_empty() {
+                    self.lanes.reshare(now, &mut self.events, sink);
                 } else {
                     self.begin_iteration(n, now, sink);
                 }
@@ -602,12 +474,12 @@ impl Sim<'_> {
         // paused) / running.
         debug_assert_eq!(
             self.arrived,
-            self.completed
-                + self.depth
+            self.ledger.completed
+                + self.ledger.depth
                 + self
-                    .lanes
+                    .batches
                     .iter()
-                    .map(|l| l.members.len() as u64)
+                    .map(|b| b.members.len() as u64)
                     .sum::<u64>()
         );
     }
@@ -621,12 +493,12 @@ impl Sim<'_> {
             return;
         }
         let block = self.model.block_tokens();
-        let free = self.cfg.fleet.max_batch - self.lanes[n].members.len();
+        let free = self.cfg.fleet.max_batch - self.batches[n].members.len();
         let mut need = self.wait_lat.len().saturating_sub(free);
         let mut any = false;
         while need > 0 {
             let mut best: Option<(usize, usize)> = None;
-            for (i, m) in self.lanes[n].members.iter().enumerate() {
+            for (i, m) in self.batches[n].members.iter().enumerate() {
                 let r = &self.reqs[m.idx as usize];
                 if r.latency_class || !m.prefilled {
                     continue;
@@ -644,33 +516,33 @@ impl Sim<'_> {
                 }
             }
             let Some((i, _)) = best else { break };
-            let m = self.lanes[n].members.remove(i);
+            let m = self.batches[n].members.remove(i);
             let r = self.reqs[m.idx as usize];
             let a = &mut self.acct[m.idx as usize];
             a.preemptions += 1;
             a.wait_since = now;
             self.llm.preemptions += 1;
-            self.depth += 1;
+            self.ledger.depth += 1;
             spans::preempt_marker(sink, n as u16, now, r.id, m.tokens as u64);
-            self.lanes[n].paused.push_back(m);
+            self.batches[n].paused.push_back(m);
             need -= 1;
             any = true;
         }
         if any {
-            self.sample_depth(now);
-            spans::queue_depth(sink, now, self.depth);
+            self.ledger.sample_depth(now, sink);
         }
     }
 
-    /// Banks one completed request into the records/sketches and the
-    /// LLM accounting.
+    /// Banks one completed request into the ledger and the LLM
+    /// accounting.
     fn finish_member(&mut self, m: Member, n: usize, batch: usize, now: u64) {
         let r = self.reqs[m.idx as usize];
         let a = self.acct[m.idx as usize];
-        let class = usize::from(!r.latency_class);
-        let rec = RequestRecord {
+        debug_assert_ne!(a.first_token_ns, u64::MAX);
+        let ttft = a.first_token_ns - r.arrival_ns;
+        self.ledger.complete(RequestRecord {
             id: r.id,
-            model: class,
+            model: usize::from(!r.latency_class),
             npu: n,
             batch,
             arrival_ns: r.arrival_ns,
@@ -679,41 +551,21 @@ impl Sim<'_> {
             service_ns: a.service_ns,
             mem_stall_ns: a.stall_ns,
             completion_ns: now,
-        };
-        // The fleet-wide contract: latency decomposes exactly.
-        debug_assert_eq!(
-            rec.latency_ns(),
-            rec.queue_ns + rec.warmup_ns + rec.service_ns + rec.mem_stall_ns
-        );
-        debug_assert_ne!(a.first_token_ns, u64::MAX);
-        let ttft = a.first_token_ns - r.arrival_ns;
-        self.completed += 1;
-        self.usage[n].served += 1;
-        if self.retain {
-            self.records.push(rec);
-            self.ttfts.push(ttft);
-            if m.tokens >= 2 {
-                self.tpots
-                    .push((now - a.first_token_ns) / (m.tokens as u64 - 1));
-            }
-            self.llm.per_request.push(LlmRecord {
+        });
+        self.ledger.usage[n].served += 1;
+        self.ttft.record(ttft);
+        if m.tokens >= 2 {
+            self.tpot
+                .record((now - a.first_token_ns) / (m.tokens as u64 - 1));
+        }
+        if let Some(per) = &mut self.per_request {
+            per.push(LlmRecord {
                 id: r.id,
                 ttft_ns: ttft,
                 tokens: m.tokens,
                 preemptions: a.preemptions,
                 latency_class: r.latency_class,
             });
-        } else {
-            let lat = rec.latency_ns();
-            self.lat_sketch.record(lat);
-            self.queue_sketch.record(rec.queue_ns);
-            self.stall_sketch.record(rec.mem_stall_ns);
-            self.class_sketches[class].record(lat);
-            self.ttft_sketch.record(ttft);
-            if m.tokens >= 2 {
-                self.tpot_sketch
-                    .record((now - a.first_token_ns) / (m.tokens as u64 - 1));
-            }
         }
     }
 }
@@ -775,32 +627,23 @@ impl<'a> LlmFleet<'a> {
             ],
             n_npus,
             events: EventQueue::with_reserved_seqs(requests.len() as u64),
-            lanes: (0..n_npus).map(|_| Lane::default()).collect(),
-            acct: vec![Acct::default(); requests.len()],
+            batches: (0..n_npus).map(|_| Batch::default()).collect(),
+            lanes: Lanes::new(MemorySystem::new(&self.cfg.fleet), n_npus, EV_STEP),
+            acct: vec![
+                Acct {
+                    first_token_ns: u64::MAX,
+                    ..Acct::default()
+                };
+                requests.len()
+            ],
             wait_lat: VecDeque::new(),
             wait_batch: VecDeque::new(),
-            mem: MemorySystem::new(&self.cfg.fleet),
-            gen: 0,
-            usage: vec![NpuUsage::default(); n_npus],
-            depth: 0,
-            peak_depth: 0,
-            depth_samples: Vec::new(),
-            makespan_ns: 0,
             arrived: 0,
-            completed: 0,
-            retain,
-            records: Vec::new(),
+            ledger: Ledger::new(&self.cfg.fleet, 2),
             llm: LlmStats::default(),
-            ttfts: Vec::new(),
-            tpots: Vec::new(),
-            lat_sketch: LatencySketch::new(),
-            queue_sketch: LatencySketch::new(),
-            stall_sketch: LatencySketch::new(),
-            ttft_sketch: LatencySketch::new(),
-            tpot_sketch: LatencySketch::new(),
-            class_sketches: [LatencySketch::new(), LatencySketch::new()],
-            serving_buf: Vec::new(),
-            alloc_buf: Allocation::default(),
+            ttft: LatencyAccumulator::new(retain),
+            tpot: LatencyAccumulator::new(retain),
+            per_request: retain.then(Vec::new),
         };
         // Arrivals carry reserved sequences 1..=n (issue order), so
         // event order matches a heap seeded with the whole trace.
@@ -811,116 +654,44 @@ impl<'a> LlmFleet<'a> {
         while let Some((now, kind, payload)) = sim.events.pop() {
             match kind {
                 EV_ARRIVAL => {
-                    sim.makespan_ns = sim.makespan_ns.max(now);
+                    sim.ledger.observe(now);
                     sim.on_arrival(payload as u32, now, sink);
                 }
                 EV_STEP => {
-                    let n = (payload % n_npus as u64) as usize;
-                    let gen = payload / n_npus as u64;
-                    if sim.lanes[n].busy && sim.lanes[n].gen == gen {
-                        sim.makespan_ns = sim.makespan_ns.max(now);
+                    if let Some(n) = sim.lanes.live(payload) {
+                        sim.ledger.observe(now);
                         sim.end_iteration(n, now, sink);
                     }
                 }
                 EV_POKE => {
                     let n = payload as usize;
-                    sim.lanes[n].poke_armed = false;
-                    if !sim.lanes[n].busy && sim.lanes[n].members.is_empty() {
-                        sim.try_start_static(n, now, sink);
-                    }
+                    sim.batches[n].poke_armed = false;
+                    sim.try_start_static(n, now, sink);
                 }
                 _ => unreachable!("unknown event kind"),
             }
         }
         assert_eq!(
-            sim.completed,
+            sim.ledger.completed,
             requests.len() as u64,
             "every LLM request must complete"
         );
 
-        let mut records = sim.records;
         let mut llm = sim.llm;
-        let (latency, queue, mem_stall, per_model) = if retain {
-            records.sort_by_key(|r| r.id);
-            llm.per_request.sort_by_key(|r| r.id);
-            let mut latencies: Vec<u64> = records.iter().map(|r| r.latency_ns()).collect();
-            latencies.sort_unstable();
-            let mut queues: Vec<u64> = records.iter().map(|r| r.queue_ns).collect();
-            queues.sort_unstable();
-            let mut stalls: Vec<u64> = records.iter().map(|r| r.mem_stall_ns).collect();
-            stalls.sort_unstable();
-            sim.ttfts.sort_unstable();
-            sim.tpots.sort_unstable();
-            llm.ttft = LatencyStats::from_sorted(&sim.ttfts);
-            llm.tpot = LatencyStats::from_sorted(&sim.tpots);
-            let per_model: Vec<ModelStats> = (0..2)
-                .filter_map(|class| {
-                    let mut lat: Vec<u64> = records
-                        .iter()
-                        .filter(|r| r.model == class)
-                        .map(|r| r.latency_ns())
-                        .collect();
-                    if lat.is_empty() {
-                        return None;
-                    }
-                    lat.sort_unstable();
-                    Some(ModelStats {
-                        model: class,
-                        name: sim.class_names[class].clone(),
-                        latency: LatencyStats::from_sorted(&lat),
-                    })
-                })
-                .collect();
-            (
-                LatencyStats::from_sorted(&latencies),
-                LatencyStats::from_sorted(&queues),
-                LatencyStats::from_sorted(&stalls),
-                per_model,
-            )
-        } else {
-            llm.ttft = LatencyStats::from_sketch(&sim.ttft_sketch);
-            llm.tpot = LatencyStats::from_sketch(&sim.tpot_sketch);
-            let per_model: Vec<ModelStats> = sim
-                .class_sketches
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.count() > 0)
-                .map(|(class, s)| ModelStats {
-                    model: class,
-                    name: sim.class_names[class].clone(),
-                    latency: LatencyStats::from_sketch(s),
-                })
-                .collect();
-            (
-                LatencyStats::from_sketch(&sim.lat_sketch),
-                LatencyStats::from_sketch(&sim.queue_sketch),
-                LatencyStats::from_sketch(&sim.stall_sketch),
-                per_model,
-            )
-        };
-        FleetReport {
-            policy: self.cfg.mode.name().to_string(),
-            fleet_size: n_npus,
-            offered: requests.len() as u64,
-            completed: sim.completed,
-            dropped: 0,
-            timed_out: 0,
-            makespan_ns: sim.makespan_ns,
-            latency,
-            queue,
-            hbm_gbps: sim.mem.budget_gbps(),
-            mem_stall,
-            peak_queue_depth: sim.peak_depth,
-            queue_depth_samples: sim.depth_samples,
-            rollup_window_ns: None,
-            rollups: Vec::new(),
-            per_npu: sim.usage,
-            per_model,
-            records,
-            llm: Some(llm),
+        llm.ttft = sim.ttft.finish();
+        llm.tpot = sim.tpot.finish();
+        llm.per_request = sim.per_request.unwrap_or_default();
+        llm.per_request.sort_by_key(|r| r.id);
+        let class_names = sim.class_names;
+        sim.ledger.into_report(
+            self.cfg.mode.name(),
+            requests.len() as u64,
+            sim.lanes.mem().budget_gbps(),
+            |class| class_names[class].clone(),
+            Some(llm),
             // The cycle-model work was paid (and is accounted) at
             // DecodeModel::build time; serving replays the tables.
-            stats: ExecStats::default(),
-        }
+            ExecStats::default(),
+        )
     }
 }

@@ -12,9 +12,10 @@
 //!   sub-buckets per power of two, 1920 buckets total, ~15 KiB) whose
 //!   quantiles carry a guaranteed relative error bound of one
 //!   sub-bucket, `1/32 ≈ 3.1%`. Count, sum/mean, and max are exact.
-//! * [`LatencyAccumulator`] — the engine's per-distribution accumulator:
-//!   in *exact* mode (records retained) it keeps the raw values and
-//!   reproduces the pre-streaming report bit-for-bit through the shared
+//! * [`LatencyAccumulator`] — the per-distribution accumulator the
+//!   shared serving ledger keeps for both engines: in *exact* mode
+//!   (records retained) it keeps the raw values and reproduces the
+//!   pre-streaming report bit-for-bit through the shared
 //!   [`nearest_rank`] helper; in *sketch* mode it feeds a
 //!   [`LatencySketch`] and memory stays flat in the request count.
 //! * [`RollupWindow`] — per-virtual-time-window aggregates (arrivals,
@@ -299,7 +300,7 @@ impl RollupWindow {
     }
 }
 
-/// The rollup collector the engine drives: a dense vector of windows,
+/// The rollup collector both engines drive: a dense vector of windows,
 /// grown to the highest virtual time seen.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Rollups {
