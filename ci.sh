@@ -58,9 +58,11 @@ cargo run --release -q --bin tandem_serve -- --scenario llm --smoke --out SERVE_
 
 # Fleet-engine throughput: streaming-statistics serving at CI size.
 # Fails if requests/sec drops below the smoke_floor_rps committed in
-# the baseline BENCH_SERVE.json (the perf regression guard).
+# the baseline BENCH_SERVE.json (the perf regression guard). The smoke
+# output goes to artifacts/ so the committed baseline stays the floor
+# source and is never rewritten with this host's numbers.
 echo "==> bench-serve (fleet engine throughput, smoke + regression floor)"
-cargo run --release -q --bin bench_serve -- --smoke
+cargo run --release -q --bin bench_serve -- --smoke --out artifacts/BENCH_SERVE_SMOKE.json
 
 # Schedule/tiling autotuner: the CI-sized search per zoo model, scored by
 # the cached simulator and gated by widened tandem-verify. The search is

@@ -36,7 +36,7 @@ pub use lower::{CompileError, CompiledOp, OpLowering};
 pub use schedule::{
     schedule_block, schedule_graph, schedule_graph_opts, CompileOptions, ScheduledBlock,
 };
-pub use signature::{CompileCache, NodeSignature};
+pub use signature::NodeSignature;
 pub use tiling::{TilePlan, Tiler};
 pub use tune_space::{
     enumerate_sites, prefetch_key, stable_hash, Schedule, StableHasher, TileChoice, TuneSite,

@@ -1,4 +1,4 @@
-//! Block signatures and the compilation cache.
+//! Node signatures: the memoization key of lowering.
 //!
 //! The paper's own characterization (Figure 4) shows the benchmark zoo is
 //! dominated by *repeated* subgraphs — ResNet-50's 16 bottlenecks,
@@ -6,17 +6,15 @@
 //! of the operator and the machine shape, so identical nodes compile to
 //! identical tile programs. [`NodeSignature`] captures exactly the inputs
 //! of that function — operator kind, input/output shapes, the relevant
-//! attributes, and the lanes/interim-rows/fixed-point configuration — and
-//! [`CompileCache`] memoizes [`OpLowering::lower_node`] on it, so each
-//! distinct block shape compiles once per process instead of once per
-//! node per run.
+//! attributes, and the lanes/interim-rows/fixed-point configuration — so
+//! a caller (the NPU executor's compile, verify and simulation caches)
+//! can memoize [`OpLowering::lower_node`] and everything downstream of it
+//! on the signature, compiling each distinct block shape once per process
+//! instead of once per node per run.
 
-use crate::lower::{CompileError, CompiledOp, OpLowering};
+use crate::lower::OpLowering;
 use crate::tune_space::{StableHasher, TileChoice};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use tandem_model::{Graph, Node, OpAttrs, Padding};
 
 /// Hashable image of [`OpAttrs`]: float attributes are keyed by their IEEE
@@ -142,80 +140,6 @@ impl NodeSignature {
     }
 }
 
-/// A thread-safe memoization table for [`OpLowering::lower_node`].
-///
-/// Compilation errors are cached alongside successes (`Unsupported` for
-/// metadata-only operators is the common case), so the executor's
-/// error path is memoized too. The cache is keyed on [`NodeSignature`],
-/// which embeds the machine shape — one cache can safely serve several
-/// lowering configurations, though in practice each NPU owns one.
-#[derive(Debug, Default)]
-pub struct CompileCache {
-    map: Mutex<HashMap<NodeSignature, Arc<Result<CompiledOp, CompileError>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CompileCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Memoized [`OpLowering::lower_node`]: returns the cached lowering
-    /// for `node`'s signature, compiling on first sight.
-    pub fn lower_node(
-        &self,
-        lowering: &OpLowering,
-        graph: &Graph,
-        node: &Node,
-    ) -> Arc<Result<CompiledOp, CompileError>> {
-        let sig = NodeSignature::for_lowering(lowering, graph, node);
-        if let Some(hit) = self.map.lock().unwrap().get(&sig) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock: concurrent misses on the same
-        // signature may compile twice, but lowering is deterministic so
-        // either result is the same value.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(lowering.lower_node(graph, node));
-        self.map
-            .lock()
-            .unwrap()
-            .entry(sig)
-            .or_insert_with(|| Arc::clone(&compiled));
-        compiled
-    }
-
-    /// Number of distinct signatures compiled.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (= compilations) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Drops all cached lowerings and resets the counters.
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,24 +163,6 @@ mod tests {
             "{} signatures for {non_gemm} non-GEMM nodes",
             sigs.len()
         );
-    }
-
-    #[test]
-    fn cache_compiles_each_signature_once() {
-        let g = zoo::resnet50();
-        let lowering = OpLowering::new(32, 512);
-        let cache = CompileCache::new();
-        for node in g.nodes() {
-            let cached = cache.lower_node(&lowering, &g, node);
-            let fresh = lowering.lower_node(&g, node);
-            assert_eq!(*cached, fresh, "node {}", node.name);
-        }
-        assert_eq!(cache.hits() + cache.misses(), g.nodes().len() as u64);
-        assert_eq!(cache.misses(), cache.len() as u64);
-        assert!(cache.hits() > cache.misses(), "ResNet repeats its blocks");
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 
     #[test]

@@ -3,15 +3,16 @@
 
 use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
+use crate::memo::Memo;
+use crate::par::par_map;
 use crate::report::{ExecStats, NpuReport};
-use gemm_sim::{GemmConfig, GemmReport, GemmReportCache, GemmUnit, GemmWorkload};
+use gemm_sim::{GemmConfig, GemmReport, GemmUnit, GemmWorkload};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use tandem_compiler::{
-    enumerate_sites, prefetch_key, stable_hash, BlockKind, CompileCache, ExecutionBlock,
-    NodeSignature, OpLowering, Partitioner, Schedule, TileChoice, TuneSite,
+    enumerate_sites, prefetch_key, stable_hash, BlockKind, CompileError, CompiledOp,
+    ExecutionBlock, NodeSignature, OpLowering, Partitioner, Schedule, TileChoice, TuneSite,
 };
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
 use tandem_model::{Graph, Node, NodeId, TensorId};
@@ -125,15 +126,6 @@ struct SimKey {
     granularity: TileGranularity,
 }
 
-/// The memoization state shared by every clone of an [`Npu`] (and by all
-/// [`Npu::run_many`] workers): compiled lowerings, per-node simulation
-/// reports, and GEMM cycle-model reports.
-///
-/// Caching is sound because every cached value is a pure function of its
-/// key: lowering depends only on the [`NodeSignature`], performance-mode
-/// simulation produces identical [`RunReport`]s for the same program, the
-/// knob adjustments are deterministic arithmetic on that report, and the
-/// GEMM cycle model is closed-form in `(workload, tile)`.
 /// Memoization key of a whole-graph report: the graph's structural
 /// digest, hardened against (already astronomically unlikely) hash
 /// collisions by the graph's node and tensor counts, plus the
@@ -161,24 +153,43 @@ pub struct ServiceDemand {
 /// nodes.
 type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
 
-#[derive(Debug, Default)]
+/// The memoization state shared by every clone of an [`Npu`] (and by all
+/// [`Npu::run_many`] workers and [`Npu::sibling`]s): compiled lowerings,
+/// verify outcomes, per-node simulation reports, GEMM cycle-model reports
+/// and whole-graph reports.
+///
+/// Caching is sound because every cached value is a pure function of its
+/// key: lowering depends only on the [`NodeSignature`], performance-mode
+/// simulation produces identical [`RunReport`]s for the same program, the
+/// knob adjustments are deterministic arithmetic on that report, and the
+/// GEMM cycle model is closed-form in `(workload, tile)`.
+#[derive(Debug)]
 struct NpuCaches {
-    compile: CompileCache,
-    verify: Mutex<HashMap<(NodeSignature, VerifyMode), VerifyOutcome>>,
-    sim: Mutex<HashMap<SimKey, RunReport>>,
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
-    gemm: GemmReportCache,
-    graph: Mutex<HashMap<GraphKey, NpuReport>>,
-    graph_hits: AtomicU64,
-    graph_misses: AtomicU64,
+    compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
+    verify: Memo<(NodeSignature, VerifyMode), VerifyOutcome>,
+    sim: Memo<SimKey, RunReport>,
+    gemm: Memo<(GemmWorkload, u64), GemmReport>,
+    graph: Memo<GraphKey, NpuReport>,
+}
+
+impl NpuCaches {
+    /// An empty cache set; a disabled set memoizes nothing.
+    fn new(enabled: bool) -> Arc<Self> {
+        Arc::new(NpuCaches {
+            compile: Memo::new(enabled),
+            verify: Memo::new(enabled),
+            sim: Memo::new(enabled),
+            gemm: Memo::new(enabled),
+            graph: Memo::new(enabled),
+        })
+    }
 }
 
 /// The NPU-Tandem end-to-end model runner.
 ///
 /// Cloning is cheap and shares the internal compilation/simulation caches
-/// (they live behind an [`Arc`]); [`Npu::uncached`] builds a runner that
-/// bypasses them entirely, recompiling and resimulating every node.
+/// (they live behind an [`Arc`]); [`Npu::uncached`] builds a runner whose
+/// cache set is disabled, so it recompiles and resimulates every node.
 #[derive(Debug, Clone)]
 pub struct Npu {
     cfg: NpuConfig,
@@ -186,12 +197,16 @@ pub struct Npu {
     gemm: GemmUnit,
     lowering: OpLowering,
     caches: Arc<NpuCaches>,
-    cache_enabled: bool,
 }
 
 impl Npu {
     /// Creates an NPU with the given configuration.
     pub fn new(cfg: NpuConfig) -> Self {
+        Self::with_caches(cfg, NpuCaches::new(true))
+    }
+
+    /// An NPU running `cfg` against the cache set `caches`.
+    fn with_caches(cfg: NpuConfig, caches: Arc<NpuCaches>) -> Self {
         let gemm = GemmUnit::new(cfg.gemm.clone());
         let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows)
             .with_schedule(cfg.schedule.clone());
@@ -200,8 +215,7 @@ impl Npu {
             cfg,
             gemm,
             lowering,
-            caches: Arc::new(NpuCaches::default()),
-            cache_enabled: true,
+            caches,
         }
     }
 
@@ -214,7 +228,8 @@ impl Npu {
     /// cache key keeps their reports apart. The Tandem and GEMM unit
     /// configurations must equal this NPU's (debug-asserted): the GEMM
     /// report cache is keyed on `(workload, tile)` under one fixed unit
-    /// geometry.
+    /// geometry. A sibling of an [`Npu::uncached`] runner shares its
+    /// disabled cache set, so it is uncached too.
     pub fn sibling(&self, cfg: NpuConfig) -> Npu {
         debug_assert_eq!(
             self.cfg.tandem, cfg.tandem,
@@ -224,49 +239,21 @@ impl Npu {
             self.cfg.gemm, cfg.gemm,
             "siblings share one GEMM unit configuration"
         );
-        let gemm = GemmUnit::new(cfg.gemm.clone());
-        let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows)
-            .with_schedule(cfg.schedule.clone());
-        Npu {
-            cfg_digest: cfg.digest(),
-            cfg,
-            gemm,
-            lowering,
-            caches: Arc::clone(&self.caches),
-            cache_enabled: self.cache_enabled,
-        }
+        Self::with_caches(cfg, Arc::clone(&self.caches))
     }
 
-    /// Creates an NPU whose runs bypass the compilation and simulation
-    /// caches — every node is recompiled and resimulated. Reports are
-    /// identical to the cached path; only wall-time differs. Used by the
-    /// benchmarks and the determinism tests as the reference path.
+    /// Creates an NPU whose cache set is disabled: it runs the cached code
+    /// path minus the maps, so every node is recompiled and resimulated
+    /// and no lookup is counted. Reports are identical to the cached path;
+    /// only wall-time differs. Used by the benchmarks and the determinism
+    /// tests as the reference path.
     pub fn uncached(cfg: NpuConfig) -> Self {
-        Npu {
-            cache_enabled: false,
-            ..Self::new(cfg)
-        }
+        Self::with_caches(cfg, NpuCaches::new(false))
     }
 
     /// The configuration.
     pub fn config(&self) -> &NpuConfig {
         &self.cfg
-    }
-
-    /// `[compile hits, compile misses, sim hits, sim misses, gemm hits,
-    /// gemm misses, graph hits, graph misses]`, cumulative over the
-    /// caches' lifetime.
-    fn cache_counters(&self) -> [u64; 8] {
-        [
-            self.caches.compile.hits(),
-            self.caches.compile.misses(),
-            self.caches.sim_hits.load(Ordering::Relaxed),
-            self.caches.sim_misses.load(Ordering::Relaxed),
-            self.caches.gemm.hits(),
-            self.caches.gemm.misses(),
-            self.caches.graph_hits.load(Ordering::Relaxed),
-            self.caches.graph_misses.load(Ordering::Relaxed),
-        ]
     }
 
     /// Runs `graph` end-to-end (batch 1 inference) and reports latency,
@@ -279,34 +266,16 @@ impl Npu {
     pub fn run(&self, graph: &Graph) -> NpuReport {
         let t0 = Instant::now();
         let before = self.stats();
-        let mut report = if self.cache_enabled {
-            let key: GraphKey = (
-                graph.content_hash(),
-                graph.nodes().len(),
-                graph.tensors().len(),
-                self.cfg_digest,
-            );
-            let cached = self.caches.graph.lock().unwrap().get(&key).cloned();
-            match cached {
-                Some(hit) => {
-                    self.caches.graph_hits.fetch_add(1, Ordering::Relaxed);
-                    hit
-                }
-                None => {
-                    self.caches.graph_misses.fetch_add(1, Ordering::Relaxed);
-                    let fresh = self.run_core(graph);
-                    self.caches
-                        .graph
-                        .lock()
-                        .unwrap()
-                        .entry(key)
-                        .or_insert_with(|| fresh.clone());
-                    fresh
-                }
-            }
-        } else {
-            self.run_core(graph)
-        };
+        let key: GraphKey = (
+            graph.content_hash(),
+            graph.nodes().len(),
+            graph.tensors().len(),
+            self.cfg_digest,
+        );
+        let mut report = self
+            .caches
+            .graph
+            .get_or_compute(&key, || self.run_core(graph, &mut NullSink));
         report.stats = self.stats().delta(&before);
         report.stats.wall_s = t0.elapsed().as_secs_f64();
         report
@@ -322,7 +291,7 @@ impl Npu {
     pub fn run_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
         let t0 = Instant::now();
         let before = self.stats();
-        let mut report = self.run_core_traced(graph, sink);
+        let mut report = self.run_core(graph, sink);
         report.stats = self.stats().delta(&before);
         report.stats.wall_s = t0.elapsed().as_secs_f64();
         report
@@ -335,17 +304,17 @@ impl Npu {
     /// [`ExecStats::delta`] for contamination-free accounting — the
     /// per-report `stats` deltas also count concurrent workers' lookups.
     pub fn stats(&self) -> ExecStats {
-        let c = self.cache_counters();
+        let c = &self.caches;
         ExecStats {
             wall_s: 0.0,
-            compile_hits: c[0],
-            compile_misses: c[1],
-            sim_hits: c[2],
-            sim_misses: c[3],
-            gemm_hits: c[4],
-            gemm_misses: c[5],
-            graph_hits: c[6],
-            graph_misses: c[7],
+            compile_hits: c.compile.hits(),
+            compile_misses: c.compile.misses(),
+            sim_hits: c.sim.hits(),
+            sim_misses: c.sim.misses(),
+            gemm_hits: c.gemm.hits(),
+            gemm_misses: c.gemm.misses(),
+            graph_hits: c.graph.hits(),
+            graph_misses: c.graph.misses(),
         }
     }
 
@@ -372,12 +341,12 @@ impl Npu {
         }
     }
 
-    /// Builds one NPU per configuration for a simulated fleet, sharing
-    /// one cache set among members with *equal* configurations (exactly
-    /// like [`run_matrix`] does for its jobs) so a model compiled on one
-    /// member is warm on its twins. `Npu` is `Send + Sync` — the caches
-    /// live behind `Arc`-ed locks — so the returned members can be moved
-    /// to worker threads or driven round-robin from one event loop.
+    /// Builds one NPU per configuration for a simulated fleet (or a
+    /// [`run_matrix`] job list), sharing one cache set among members with
+    /// *equal* configurations so a model compiled on one member is warm
+    /// on its twins. `Npu` is `Send + Sync` — the caches live behind
+    /// `Arc`-ed locks — so the returned members can be moved to worker
+    /// threads or driven round-robin from one event loop.
     pub fn fleet(configs: &[NpuConfig]) -> Vec<Npu> {
         // Compile-time proof the members may cross threads.
         fn assert_send_sync<T: Send + Sync>() {}
@@ -392,13 +361,8 @@ impl Npu {
         members
     }
 
-    /// The uncached whole-graph execution body.
-    fn run_core(&self, graph: &Graph) -> NpuReport {
-        self.run_core_traced(graph, &mut NullSink)
-    }
-
-    /// The uncached whole-graph execution body, with tracing.
-    fn run_core_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
+    /// The whole-graph execution body behind the graph-level cache.
+    fn run_core(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
         let blocks = Partitioner::new().partition(graph);
         let consumers = graph.consumer_index();
         let mut report = NpuReport {
@@ -441,7 +405,7 @@ impl Npu {
     /// simulate once. Reports come back in input order and are identical
     /// to `graphs.iter().map(|g| self.run(g))`.
     pub fn run_many(&self, graphs: &[&Graph]) -> Vec<NpuReport> {
-        run_indexed(graphs.len(), |i| self.run(graphs[i]))
+        par_map(graphs.len(), 0, |i| self.run(graphs[i]))
     }
 
     /// Statically verifies the compiled tile programs of one block's
@@ -461,21 +425,37 @@ impl Npu {
         }
     }
 
+    /// The signature of `node` under this NPU's lowering: computed once
+    /// per node visit, it keys the compile, verify and sim caches, and its
+    /// [`NodeSignature::site_key`] names the node's tuning site.
+    fn signature(&self, graph: &Graph, node: &Node) -> NodeSignature {
+        NodeSignature::for_lowering(&self.lowering, graph, node)
+    }
+
+    /// [`OpLowering::lower_node`] of `node`, whose signature is `sig`,
+    /// through the compile cache.
+    fn lower(
+        &self,
+        sig: &NodeSignature,
+        graph: &Graph,
+        node: &Node,
+    ) -> Arc<Result<CompiledOp, CompileError>> {
+        self.caches
+            .compile
+            .get_or_compute(sig, || Arc::new(self.lowering.lower_node(graph, node)))
+    }
+
     /// The per-node body of [`Npu::verify_block`], memoized on the node's
-    /// [`NodeSignature`] unless this NPU is [`Npu::uncached`].
+    /// [`NodeSignature`] and the verifier mode.
     fn node_verify_outcome(&self, graph: &Graph, node: &Node) -> VerifyOutcome {
-        let compute = || -> VerifyOutcome {
+        let key = (self.signature(graph, node), self.cfg.verify_mode);
+        self.caches.verify.get_or_compute(&key, || {
             let verifier =
                 Verifier::new(VerifyConfig::from(&self.cfg.tandem).with_mode(self.cfg.verify_mode));
-            let compiled = if self.cache_enabled {
-                self.caches.compile.lower_node(&self.lowering, graph, node)
-            } else {
-                Arc::new(self.lowering.lower_node(graph, node))
-            };
             let mut programs = 0u64;
             let mut errors = 0u64;
             let mut diags = Vec::new();
-            if let Ok(c) = compiled.as_ref() {
+            if let Ok(c) = self.lower(&key.0, graph, node).as_ref() {
                 for (prog, _) in &c.tiles {
                     programs += 1;
                     let rep = verifier.verify(prog);
@@ -488,31 +468,12 @@ impl Npu {
                 }
             }
             Arc::new((programs, errors, diags))
-        };
-        if !self.cache_enabled {
-            return compute();
-        }
-        let key = (
-            NodeSignature::for_lowering(&self.lowering, graph, node),
-            self.cfg.verify_mode,
-        );
-        if let Some(hit) = self.caches.verify.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let outcome = compute();
-        self.caches
-            .verify
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| outcome.clone());
-        outcome
+        })
     }
 
     /// Simulates one non-GEMM node's compiled programs in performance
     /// mode, returning its (knob-adjusted) aggregate report. Memoized on
-    /// the node's [`NodeSignature`] (plus the executor knobs) unless this
-    /// NPU is [`Npu::uncached`].
+    /// the node's [`NodeSignature`] plus the executor knobs.
     fn tandem_node_report(
         &self,
         graph: &Graph,
@@ -520,73 +481,48 @@ impl Npu {
         proc: &mut TandemProcessor,
         dram: &mut Dram,
     ) -> RunReport {
-        if !self.cache_enabled {
-            return self.tandem_node_report_uncached(graph, node, proc, dram);
-        }
         let key = SimKey {
-            sig: NodeSignature::for_lowering(&self.lowering, graph, node),
+            sig: self.signature(graph, node),
             knobs: self.cfg.knobs,
             granularity: self.cfg.granularity,
         };
-        if let Some(&hit) = self.caches.sim.lock().unwrap().get(&key) {
-            self.caches.sim_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.caches.sim_misses.fetch_add(1, Ordering::Relaxed);
-        let report = self.tandem_node_report_uncached(graph, node, proc, dram);
-        self.caches.sim.lock().unwrap().insert(key, report);
-        report
+        self.caches.sim.get_or_compute(&key, || {
+            let compiled = self.lower(&key.sig, graph, node);
+            let Ok(compiled) = compiled.as_ref() else {
+                return RunReport::default(); // metadata-only ops
+            };
+            let mut total = RunReport::default();
+            for (prog, reps) in &compiled.tiles {
+                let one = proc
+                    .run(prog, dram)
+                    .expect("compiled tile program must simulate");
+                total.merge(&one.scaled(*reps));
+            }
+            // De-specialization penalties and special-function credits.
+            // The penalty models extra *instructions*, so it lands in the
+            // `despecialization` bucket; the multiplicative credit
+            // rescales every bucket so the breakdown keeps summing to the
+            // cycles.
+            let extra = self.cfg.knobs.extra_cycles(&total.counters);
+            total.compute_cycles += extra;
+            total.breakdown.despecialization += extra;
+            let factor = self.cfg.knobs.special_fn_factor(node.kind);
+            if factor < 1.0 {
+                total.compute_cycles = ((total.compute_cycles as f64) * factor).ceil() as u64;
+                total.breakdown.scale_to(total.compute_cycles);
+            }
+            total
+        })
     }
 
-    /// The uncached body of [`Npu::tandem_node_report`].
-    fn tandem_node_report_uncached(
-        &self,
-        graph: &Graph,
-        node: &Node,
-        proc: &mut TandemProcessor,
-        dram: &mut Dram,
-    ) -> RunReport {
-        let compiled = if self.cache_enabled {
-            self.caches.compile.lower_node(&self.lowering, graph, node)
-        } else {
-            Arc::new(self.lowering.lower_node(graph, node))
-        };
-        let compiled = match compiled.as_ref() {
-            Ok(c) => c,
-            Err(_) => return RunReport::default(), // metadata-only ops
-        };
-        let mut total = RunReport::default();
-        for (prog, reps) in &compiled.tiles {
-            let one = proc
-                .run(prog, dram)
-                .expect("compiled tile program must simulate");
-            total.merge(&one.scaled(*reps));
-        }
-        // De-specialization penalties and special-function credits. The
-        // penalty models extra *instructions*, so it lands in the
-        // `despecialization` bucket; the multiplicative credit rescales
-        // every bucket so the breakdown keeps summing to the cycles.
-        let extra = self.cfg.knobs.extra_cycles(&total.counters);
-        total.compute_cycles += extra;
-        total.breakdown.despecialization += extra;
-        let factor = self.cfg.knobs.special_fn_factor(node.kind);
-        if factor < 1.0 {
-            total.compute_cycles = ((total.compute_cycles as f64) * factor).ceil() as u64;
-            total.breakdown.scale_to(total.compute_cycles);
-        }
-        total
-    }
-
-    /// [`GemmUnit::tile_report`], memoized unless this NPU is uncached.
+    /// [`GemmUnit::tile_report`], through the GEMM-report cache.
     fn gemm_tile_report(&self, w: GemmWorkload, m_tile: u64) -> GemmReport {
-        if self.cache_enabled {
-            self.caches.gemm.tile_report(&self.gemm, w, m_tile)
-        } else {
-            self.gemm.tile_report(w, m_tile)
-        }
+        self.caches
+            .gemm
+            .get_or_compute(&(w, m_tile), || self.gemm.tile_report(w, m_tile))
     }
 
-    /// [`GemmUnit::layer_report`], memoized unless this NPU is uncached.
+    /// [`GemmUnit::layer_report`], through the GEMM-report cache.
     fn gemm_layer_report(&self, w: GemmWorkload) -> GemmReport {
         self.gemm_tile_report(w, w.m)
     }
@@ -652,14 +588,7 @@ impl Npu {
         if self.cfg.schedule.is_empty() {
             return None;
         }
-        let key = NodeSignature::of(
-            graph,
-            node,
-            self.cfg.tandem.lanes,
-            self.cfg.tandem.interim_rows,
-            self.lowering.fixed.q,
-        )
-        .site_key();
+        let key = self.signature(graph, node).site_key();
         match self.cfg.schedule.get(key) {
             Some(TileChoice::GemmTile { m_rows }) => Some(m_rows as u64),
             _ => None,
@@ -673,14 +602,7 @@ impl Npu {
         if self.cfg.schedule.is_empty() {
             return false;
         }
-        let key = NodeSignature::of(
-            graph,
-            node,
-            self.cfg.tandem.lanes,
-            self.cfg.tandem.interim_rows,
-            self.lowering.fixed.q,
-        )
-        .site_key();
+        let key = self.signature(graph, node).site_key();
         matches!(
             self.cfg.schedule.get(prefetch_key(key)),
             Some(TileChoice::Prefetch { on: true })
@@ -703,14 +625,7 @@ impl Npu {
             if node.kind.class() != tandem_model::OpClass::Gemm {
                 continue;
             }
-            let key = NodeSignature::of(
-                graph,
-                node,
-                self.cfg.tandem.lanes,
-                self.cfg.tandem.interim_rows,
-                self.lowering.fixed.q,
-            )
-            .site_key();
+            let key = self.signature(graph, node).site_key();
             if let Some(&i) = index.get(&key) {
                 sites[i].instances += 1;
                 continue;
@@ -748,14 +663,7 @@ impl Npu {
             if node.kind.class() != tandem_model::OpClass::Gemm {
                 continue;
             }
-            let key = NodeSignature::of(
-                graph,
-                node,
-                self.cfg.tandem.lanes,
-                self.cfg.tandem.interim_rows,
-                self.lowering.fixed.q,
-            )
-            .site_key();
+            let key = self.signature(graph, node).site_key();
             let pkey = prefetch_key(key);
             if let Some(&i) = index.get(&pkey) {
                 sites[i].instances += 1;
@@ -1380,11 +1288,7 @@ impl Npu {
         let mut at = start;
         for &id in &block.non_gemm {
             let node = graph.node(id);
-            let compiled = if self.cache_enabled {
-                self.caches.compile.lower_node(&self.lowering, graph, node)
-            } else {
-                Arc::new(self.lowering.lower_node(graph, node))
-            };
+            let compiled = self.lower(&self.signature(graph, node), graph, node);
             let Ok(c) = compiled.as_ref() else { continue };
             for (prog, reps) in &c.tiles {
                 let one = {
@@ -1417,57 +1321,15 @@ fn largest_divisor_le(n: u64, cap: u64) -> u64 {
     (1..=cap).rev().find(|&d| n.is_multiple_of(d)).unwrap_or(1)
 }
 
-/// Runs `n` jobs across the available cores with scoped threads and a
-/// shared claim counter, collecting results in job order. Falls back to a
-/// serial loop when only one worker is warranted.
-fn run_indexed<F>(n: usize, run: F) -> Vec<NpuReport>
-where
-    F: Fn(usize) -> NpuReport + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return (0..n).map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<NpuReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every job index was claimed by a worker")
-        })
-        .collect()
-}
-
 /// Runs a heterogeneous `(configuration, graph)` job matrix in parallel,
 /// returning reports in job order. Jobs with equal configurations share
-/// one NPU (and therefore its caches), so a sweep that varies only the
-/// model — or repeats configurations — pays each distinct block shape
-/// once.
+/// one NPU (and therefore its caches) through [`Npu::fleet`], so a sweep
+/// that varies only the model — or repeats configurations — pays each
+/// distinct block shape once.
 pub fn run_matrix(jobs: &[(NpuConfig, &Graph)]) -> Vec<NpuReport> {
-    let mut npus: Vec<Npu> = Vec::with_capacity(jobs.len());
-    for (cfg, _) in jobs {
-        match npus.iter().find(|n| n.config() == cfg) {
-            Some(prev) => npus.push(prev.clone()),
-            None => npus.push(Npu::new(cfg.clone())),
-        }
-    }
-    run_indexed(jobs.len(), |i| npus[i].run(jobs[i].1))
+    let configs: Vec<NpuConfig> = jobs.iter().map(|(cfg, _)| cfg.clone()).collect();
+    let npus = Npu::fleet(&configs);
+    par_map(jobs.len(), 0, |i| npus[i].run(jobs[i].1))
 }
 
 #[cfg(test)]

@@ -19,11 +19,17 @@
 //!   Processor's specializations (vector-register-file load/stores,
 //!   branch-based loops, software address calculation, FIFO coupling,
 //!   special-function units), generating Figures 6, 8, 18 and 19;
-//! * signature-keyed compilation/simulation caches and scoped-thread
-//!   parallel sweeps ([`Npu::run_many`], [`run_matrix`]) that keep the
-//!   figure harness fast while staying bit-identical to the serial
-//!   uncached path ([`Npu::uncached`]); per-run wall-time and hit/miss
-//!   counters surface in [`ExecStats`].
+//! * five memoization caches — compile, verify, node simulation, GEMM
+//!   report and whole graph — all one private get-or-compute table type
+//!   keyed on the node's signature (or the GEMM workload, or the graph
+//!   digest) and shared by every clone and sibling of an [`Npu`];
+//!   [`Npu::uncached`] is the same code over a *disabled* cache set, so
+//!   the reference path the determinism tests compare against is the
+//!   cached path minus the maps. Per-run wall-time and hit/miss counters
+//!   surface in [`ExecStats`];
+//! * [`par_map`], the one order-preserving scoped-thread map behind
+//!   [`Npu::run_many`], [`run_matrix`] and the fleet and autotuner
+//!   sweeps: results never depend on the worker count.
 //!
 //! ```
 //! use tandem_npu::{Npu, NpuConfig};
@@ -41,6 +47,8 @@ mod dispatch;
 pub mod dse;
 mod executor;
 mod knobs;
+mod memo;
+mod par;
 mod report;
 
 pub use controller::{ControllerEvent, ControllerState, ExecutionController};
@@ -48,6 +56,7 @@ pub use dispatch::{dispatch_block, DispatchedBlock};
 pub use dse::{pareto_frontier, sweep, DesignPoint, DseResult};
 pub use executor::{run_matrix, Npu, NpuConfig, ServiceDemand, TileGranularity};
 pub use knobs::Despecialization;
+pub use par::par_map;
 
 // Re-exported so the autotuner (and other schedule-carrying callers) can
 // fill [`NpuConfig::schedule`] and consume [`Npu::tune_sites`] without

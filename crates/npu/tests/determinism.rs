@@ -4,6 +4,7 @@
 
 use tandem_model::zoo;
 use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, TileGranularity};
+use tandem_verify::VerifyMode;
 
 /// Asserts the full architectural equality plus the headline scalars
 /// (spelled out so a failure names the number that moved).
@@ -58,6 +59,12 @@ fn cached_run_equals_uncached_run() {
             "{name}: uncached run looked up a cache"
         );
     }
+    // A sibling shares its parent's cache set, so an uncached parent's
+    // siblings are uncached too.
+    let mut layer_cfg = NpuConfig::paper();
+    layer_cfg.granularity = TileGranularity::Layer;
+    let sibling = Npu::uncached(NpuConfig::paper()).sibling(layer_cfg);
+    assert_eq!(sibling.run(&zoo::mobilenetv2()).stats.lookups(), 0);
 }
 
 #[test]
@@ -68,15 +75,25 @@ fn caches_respect_knobs_and_granularity() {
     layer_cfg.granularity = TileGranularity::Layer;
     let mut knob_cfg = NpuConfig::paper();
     knob_cfg.knobs.branch_loops = true;
+    // The release-build defaults, so debug `cargo test` runs them through
+    // the cached-vs-uncached check too; they change no cycle count.
+    let mut release_cfg = NpuConfig::paper();
+    release_cfg.verify = false;
+    release_cfg.verify_mode = VerifyMode::Widened;
     let graph = zoo::mobilenetv2();
-    for (name, cfg) in [("layer", layer_cfg), ("branch_loops", knob_cfg)] {
+    let paper_cycles = Npu::uncached(NpuConfig::paper()).run(&graph).total_cycles;
+    for (name, cfg, moves_cycles) in [
+        ("layer", layer_cfg, true),
+        ("branch_loops", knob_cfg, true),
+        ("release_defaults", release_cfg, false),
+    ] {
         let cached = Npu::new(cfg.clone()).run(&graph);
         let uncached = Npu::uncached(cfg).run(&graph);
         assert_identical(&cached, &uncached, name);
-        assert_ne!(
-            cached.total_cycles,
-            Npu::uncached(NpuConfig::paper()).run(&graph).total_cycles,
-            "{name}: config change must actually change the model"
+        assert_eq!(
+            cached.total_cycles != paper_cycles,
+            moves_cycles,
+            "{name}: only knob and granularity changes move the model"
         );
     }
 }

@@ -19,13 +19,11 @@
 
 use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use tandem_compiler::{schedule_graph_opts, CompileOptions, OpLowering};
 use tandem_fleet::SplitMix64;
 use tandem_model::Graph;
-use tandem_npu::Npu;
+use tandem_npu::{par_map, Npu};
 use tandem_verify::VerifyMode;
 
 /// Search-driver options.
@@ -46,9 +44,6 @@ pub struct TuneOptions {
     /// override — the spaces are small and the cache hub makes singles
     /// cheap, so the full coordinate sweep is the default).
     pub max_singles: usize,
-    /// Gate every candidate through widened `tandem-verify` before
-    /// scoring; error findings reject the candidate.
-    pub verify_gate: bool,
     /// Record every accepted `(candidate, cycles)` pair in the outcome
     /// (tests re-verify them; large searches leave this off).
     pub record_accepted: bool,
@@ -63,7 +58,6 @@ impl Default for TuneOptions {
             beam: 6,
             jobs: 0,
             max_singles: 0,
-            verify_gate: true,
             record_accepted: false,
         }
     }
@@ -173,16 +167,12 @@ struct Evaluator<'a> {
     npu: &'a Npu,
     graph: &'a Graph,
     gate_lowering: OpLowering,
-    gate: bool,
 }
 
 impl Evaluator<'_> {
     /// `true` when the candidate's materialized schedule compiles with no
     /// error-severity verify finding (widened mode).
     fn verify_ok(&self, cand: &Candidate) -> bool {
-        if !self.gate {
-            return true;
-        }
         let opts = CompileOptions {
             verify: true,
             verify_mode: VerifyMode::Widened,
@@ -214,7 +204,6 @@ pub fn tune_in_space(
         npu,
         graph,
         gate_lowering: OpLowering::new(npu.config().tandem.lanes, npu.config().tandem.interim_rows),
-        gate: opts.verify_gate,
     };
     let mut rng = SplitMix64::new(opts.seed);
     // digest → Some(cycles) accepted / None rejected.
@@ -247,7 +236,7 @@ pub fn tune_in_space(
             .collect();
         // Phase 1 — the verify gate, in parallel, results in input order.
         let t0 = Instant::now();
-        let ok = par_map(&fresh, opts.jobs, |c| eval.verify_ok(c));
+        let ok = par_map(fresh.len(), opts.jobs, |i| eval.verify_ok(&fresh[i]));
         let verify_wall_s = t0.elapsed().as_secs_f64();
         let mut to_score: Vec<Candidate> = Vec::new();
         let mut rejected = 0usize;
@@ -261,7 +250,7 @@ pub fn tune_in_space(
         }
         // Phase 2 — score the survivors against the shared caches.
         let t1 = Instant::now();
-        let scores = par_map(&to_score, opts.jobs, |c| eval.score(c));
+        let scores = par_map(to_score.len(), opts.jobs, |i| eval.score(&to_score[i]));
         let sim_wall_s = t1.elapsed().as_secs_f64();
         for (c, &cycles) in to_score.iter().zip(&scores) {
             memo.insert(c.digest(), Some(cycles));
@@ -417,47 +406,4 @@ pub fn tune_in_space(
         generations: stats,
         accepted: accepted_log,
     }
-}
-
-/// Maps `f` over `items` on `jobs` scoped threads (0 = all cores),
-/// collecting results in input order — worker scheduling can never
-/// reorder or change them.
-fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-    .min(items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(f(&items[i]));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("every item index was claimed by a worker")
-        })
-        .collect()
 }
