@@ -33,6 +33,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use tandem_bench::read_floor;
 use tandem_fleet::llm::{DecodeModel, LlmConfig, LlmFleet, LlmMode, LlmModelSpec, LlmWorkloadSpec};
 use tandem_fleet::{ArrivalProcess, Catalog, Fleet, FleetConfig, Policy, WorkloadSpec};
 use tandem_npu::{Npu, NpuConfig};
@@ -109,18 +110,6 @@ fn run_scenario(
         tokens_out: 0,
         tok_ps: 0.0,
     }
-}
-
-/// Reads `"<key>": <n>` out of a committed baseline file.
-fn read_floor(path: &str, key: &str) -> Option<f64> {
-    let s = std::fs::read_to_string(path).ok()?;
-    let key = format!("\"{key}\":");
-    let rest = s[s.find(&key)? + key.len()..].trim_start();
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
 }
 
 fn main() {

@@ -15,14 +15,12 @@ use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Run the `tandem-verify` static dataflow pass over every scheduled
-    /// block and fail compilation on any error-severity finding. Defaults
-    /// to on in debug builds (so every test exercises it) and off in
-    /// release builds, where it is opt-in.
+    /// block and fail compilation on any error-severity finding. On by
+    /// default in every build.
     pub verify: bool,
-    /// Loop-summarization mode for the verifier. Defaults to the exact
-    /// per-iteration oracle in debug builds (tests double-check the
-    /// widening) and the O(program-size) widened summaries in release
-    /// builds, where verification may gate an autotuner search loop.
+    /// Loop-summarization mode for the verifier. Defaults to the
+    /// O(program-size) widened summaries in every build; the exact
+    /// per-iteration oracle reports identical diagnostics, slower.
     pub verify_mode: VerifyMode,
     /// Tuner schedule overriding per-site tile decisions. The empty
     /// schedule (the default) reproduces the hand-rolled compiler bit
@@ -34,12 +32,8 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            verify: cfg!(debug_assertions),
-            verify_mode: if cfg!(debug_assertions) {
-                VerifyMode::Exact
-            } else {
-                VerifyMode::Widened
-            },
+            verify: true,
+            verify_mode: VerifyMode::Widened,
             schedule: Schedule::empty(),
         }
     }

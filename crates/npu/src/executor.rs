@@ -5,7 +5,7 @@ use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
 use crate::memo::Memo;
 use crate::par::par_map;
-use crate::report::{ExecStats, NpuReport};
+use crate::report::{ExecStats, NpuReport, VerifySummary};
 use gemm_sim::{GemmConfig, GemmReport, GemmUnit, GemmWorkload};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use tandem_compiler::{
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
 use tandem_model::{Graph, Node, NodeId, TensorId};
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
-use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode};
+use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
 /// Coordination granularity between the GEMM unit and the Tandem
 /// Processor (paper §3.5 and Figure 8).
@@ -46,15 +46,10 @@ pub struct NpuConfig {
     /// Static/background power of the whole NPU (clock tree, SRAM leakage,
     /// DRAM PHY), watts — the paper compares at a ~2.7 W system (§8).
     pub static_power_w: f64,
-    /// Run the `tandem-verify` static pass over every compiled tile
-    /// program and record the outcome in [`NpuReport::verify`]. Defaults
-    /// to on in debug builds, off (opt-in) in release builds.
+    /// Run [`Npu::verify`] — the widened `tandem-verify` pass over every
+    /// compiled tile program — and record the outcome in
+    /// [`NpuReport::verify`]. Off (opt-in) in every build.
     pub verify: bool,
-    /// Loop-summarization mode for the verifier: the exact
-    /// per-iteration oracle in debug builds, the O(program-size) widened
-    /// summaries in release builds. The two report identical
-    /// diagnostics; they differ only in wall-time.
-    pub verify_mode: VerifyMode,
     /// Tuner schedule overriding per-site tile decisions — the
     /// compiler's non-GEMM sites *and* the GEMM-side pipelining
     /// granularity ([`TileChoice::GemmTile`]), which only this crate can
@@ -72,12 +67,7 @@ impl NpuConfig {
             knobs: Despecialization::none(),
             granularity: TileGranularity::Tile,
             static_power_w: 2.0,
-            verify: cfg!(debug_assertions),
-            verify_mode: if cfg!(debug_assertions) {
-                VerifyMode::Exact
-            } else {
-                VerifyMode::Widened
-            },
+            verify: false,
             schedule: Schedule::empty(),
         }
     }
@@ -100,7 +90,6 @@ impl NpuConfig {
         stable_hash(&(
             self.schedule.digest(),
             self.verify,
-            self.verify_mode,
             self.granularity,
             self.knobs,
             self.static_power_w.to_bits(),
@@ -148,10 +137,17 @@ pub struct ServiceDemand {
 }
 
 /// Memoized static-verification outcome of one node's compiled tile
-/// programs: `(programs checked, error-severity findings, findings)`.
-/// Node-name-free so the value is reusable across structurally identical
-/// nodes.
-type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
+/// programs. Node-name-free so the value is reusable across structurally
+/// identical nodes.
+#[derive(Debug, Default)]
+struct NodeVerify {
+    programs: u64,
+    /// Error-severity findings, plus one for a failed lowering.
+    errors: u64,
+    /// Σ over programs of the dead-traffic wasted-word estimate × reps.
+    wasted_words: u64,
+    diagnostics: Vec<String>,
+}
 
 /// The memoization state shared by every clone of an [`Npu`] (and by all
 /// [`Npu::run_many`] workers and [`Npu::sibling`]s): compiled lowerings,
@@ -166,7 +162,7 @@ type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
 #[derive(Debug)]
 struct NpuCaches {
     compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
-    verify: Memo<(NodeSignature, VerifyMode), VerifyOutcome>,
+    verify: Memo<NodeSignature, Arc<NodeVerify>>,
     sim: Memo<SimKey, RunReport>,
     gemm: Memo<(GemmWorkload, u64), GemmReport>,
     graph: Memo<GraphKey, NpuReport>,
@@ -378,10 +374,10 @@ impl Npu {
         // Trailing idle window of the previous block's GEMM DRAM channel:
         // the budget a schedule-enabled weight prefetch may hide in.
         let mut exposed = 0u64;
+        if self.cfg.verify {
+            report.verify = self.verify(graph);
+        }
         for block in &blocks {
-            if self.cfg.verify {
-                self.verify_block(graph, block, &mut report);
-            }
             self.run_block(
                 graph,
                 block,
@@ -408,21 +404,35 @@ impl Npu {
         par_map(graphs.len(), 0, |i| self.run(graphs[i]))
     }
 
-    /// Statically verifies the compiled tile programs of one block's
-    /// non-GEMM nodes, accumulating the outcome into
-    /// [`NpuReport::verify`]. The summary is a pure function of the graph
-    /// and machine shape, so cached and uncached runs report identically.
-    fn verify_block(&self, graph: &Graph, block: &ExecutionBlock, report: &mut NpuReport) {
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            let (programs, errors, diags) = &*self.node_verify_outcome(graph, node);
-            report.verify.programs += programs;
-            report.verify.errors += errors;
-            report
-                .verify
-                .diagnostics
-                .extend(diags.iter().map(|d| format!("{}: {d}", node.name)));
+    /// Widened `tandem-verify` over the tile programs of every non-GEMM
+    /// node of `graph`, folded in block and node order: what a run with
+    /// [`NpuConfig::verify`] on reports, and the autotuner's gate. Each
+    /// node's outcome is memoized on its [`NodeSignature`], so a sibling
+    /// under a new schedule verifies only the nodes the schedule changes.
+    /// A lowering failure other than [`CompileError::Unsupported`] (GEMM
+    /// operators) counts as an error.
+    pub fn verify(&self, graph: &Graph) -> VerifySummary {
+        let mut summary = VerifySummary::default();
+        for block in &Partitioner::new().partition(graph) {
+            for &id in &block.non_gemm {
+                let node = graph.node(id);
+                let outcome = self.node_verify_outcome(graph, node);
+                summary.programs += outcome.programs;
+                summary.errors += outcome.errors;
+                let named = outcome.diagnostics.iter();
+                summary
+                    .diagnostics
+                    .extend(named.map(|d| format!("{}: {d}", node.name)));
+            }
         }
+        summary
+    }
+
+    /// The dead-traffic lints' wasted-word estimate for `node`'s programs
+    /// (Σ wasted words × repetitions), from the memo [`Npu::verify`]
+    /// folds; the autotuner's mutation prior ranks sites by it.
+    pub fn wasted_words(&self, graph: &Graph, node: &Node) -> u64 {
+        self.node_verify_outcome(graph, node).wasted_words
     }
 
     /// The signature of `node` under this NPU's lowering: computed once
@@ -445,29 +455,33 @@ impl Npu {
             .get_or_compute(sig, || Arc::new(self.lowering.lower_node(graph, node)))
     }
 
-    /// The per-node body of [`Npu::verify_block`], memoized on the node's
-    /// [`NodeSignature`] and the verifier mode.
-    fn node_verify_outcome(&self, graph: &Graph, node: &Node) -> VerifyOutcome {
-        let key = (self.signature(graph, node), self.cfg.verify_mode);
-        self.caches.verify.get_or_compute(&key, || {
-            let verifier =
-                Verifier::new(VerifyConfig::from(&self.cfg.tandem).with_mode(self.cfg.verify_mode));
-            let mut programs = 0u64;
-            let mut errors = 0u64;
-            let mut diags = Vec::new();
-            if let Ok(c) = self.lower(&key.0, graph, node).as_ref() {
-                for (prog, _) in &c.tiles {
-                    programs += 1;
-                    let rep = verifier.verify(prog);
-                    errors += rep
-                        .diagnostics
-                        .iter()
-                        .filter(|d| d.severity() == Severity::Error)
-                        .count() as u64;
-                    diags.extend(rep.diagnostics.iter().map(|d| d.to_string()));
+    /// The per-node body of [`Npu::verify`], memoized on the node's
+    /// [`NodeSignature`].
+    fn node_verify_outcome(&self, graph: &Graph, node: &Node) -> Arc<NodeVerify> {
+        let sig = self.signature(graph, node);
+        self.caches.verify.get_or_compute(&sig, || {
+            let mut out = NodeVerify::default();
+            match self.lower(&sig, graph, node).as_ref() {
+                Ok(c) => {
+                    let verifier = Verifier::new(
+                        VerifyConfig::from(&self.cfg.tandem).with_mode(VerifyMode::Widened),
+                    );
+                    for (prog, reps) in &c.tiles {
+                        let rep = verifier.verify(prog);
+                        out.programs += 1;
+                        out.errors += rep.errors().count() as u64;
+                        out.wasted_words += rep.wasted_words() * reps;
+                        out.diagnostics
+                            .extend(rep.diagnostics.iter().map(|d| d.to_string()));
+                    }
+                }
+                Err(CompileError::Unsupported { .. }) => {}
+                Err(e) => {
+                    out.errors += 1;
+                    out.diagnostics.push(format!("lowering failed: {e}"));
                 }
             }
-            Arc::new((programs, errors, diags))
+            Arc::new(out)
         })
     }
 

@@ -125,9 +125,9 @@ impl ExecStats {
     }
 }
 
-/// Outcome of the `tandem-verify` static pass over the tile programs a
-/// run compiled (populated when `NpuConfig::verify` is on, i.e. by
-/// default in debug builds).
+/// Outcome of the widened `tandem-verify` static pass over the tile
+/// programs a run compiled: [`crate::Npu::verify`]'s result, and
+/// [`NpuReport::verify`] when `NpuConfig::verify` is on.
 ///
 /// The summary is a pure function of the graph and machine shape —
 /// cached and uncached runs of the same model produce identical

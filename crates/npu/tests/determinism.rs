@@ -4,7 +4,6 @@
 
 use tandem_model::zoo;
 use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, TileGranularity};
-use tandem_verify::VerifyMode;
 
 /// Asserts the full architectural equality plus the headline scalars
 /// (spelled out so a failure names the number that moved).
@@ -75,17 +74,16 @@ fn caches_respect_knobs_and_granularity() {
     layer_cfg.granularity = TileGranularity::Layer;
     let mut knob_cfg = NpuConfig::paper();
     knob_cfg.knobs.branch_loops = true;
-    // The release-build defaults, so debug `cargo test` runs them through
-    // the cached-vs-uncached check too; they change no cycle count.
-    let mut release_cfg = NpuConfig::paper();
-    release_cfg.verify = false;
-    release_cfg.verify_mode = VerifyMode::Widened;
+    // Verification on: the summary joins report equality, and changes no
+    // cycle count.
+    let mut verify_cfg = NpuConfig::paper();
+    verify_cfg.verify = true;
     let graph = zoo::mobilenetv2();
     let paper_cycles = Npu::uncached(NpuConfig::paper()).run(&graph).total_cycles;
     for (name, cfg, moves_cycles) in [
         ("layer", layer_cfg, true),
         ("branch_loops", knob_cfg, true),
-        ("release_defaults", release_cfg, false),
+        ("verify", verify_cfg.clone(), false),
     ] {
         let cached = Npu::new(cfg.clone()).run(&graph);
         let uncached = Npu::uncached(cfg).run(&graph);
@@ -96,6 +94,13 @@ fn caches_respect_knobs_and_granularity() {
             "{name}: only knob and granularity changes move the model"
         );
     }
+    // `Npu::verify` is the summary a verifying run reports, whether the
+    // memo is cold or already warm from that run.
+    let npu = Npu::new(verify_cfg);
+    let cold = npu.verify(&graph);
+    assert!(cold.programs > 0, "no programs verified");
+    assert_eq!(cold, npu.run(&graph).verify);
+    assert_eq!(cold, npu.verify(&graph));
 }
 
 #[test]

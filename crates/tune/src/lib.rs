@@ -13,12 +13,13 @@
 //!    [`Candidate::schedule`] compiles it into the
 //!    [`tandem_compiler::CompileOptions::schedule`] /
 //!    [`tandem_npu::NpuConfig::schedule`] the stack already understands.
-//! 2. **Gate** — every fresh candidate materializes through
-//!    [`tandem_compiler::schedule_graph_opts`] under widened
-//!    `tandem-verify`; error findings reject it before it is scored.
-//! 3. **Score** — accepted candidates run on [`tandem_npu::Npu::sibling`]s
-//!    of one cache hub, so repeated `(site, choice)` decisions simulate
-//!    once across the whole search.
+//! 2. **Gate** — every fresh candidate runs [`tandem_npu::Npu::verify`]
+//!    (widened `tandem-verify`, memoized per node signature) on a
+//!    [`tandem_npu::Npu::sibling`] of one cache hub; error findings
+//!    reject it before it is scored.
+//! 3. **Score** — accepted candidates run on siblings of the same hub,
+//!    so repeated `(site, choice)` decisions verify and simulate once
+//!    across the whole search.
 //! 4. **Search** — a single-site seeding sweep, a greedy
 //!    coordinate-descent composite, then beam-elite evolution (weighted
 //!    point mutation + uniform crossover), with the dead-traffic lint's
@@ -40,7 +41,7 @@ mod space;
 pub use prior::site_weights;
 pub use report::{outcome_json, trajectory_json};
 pub use search::{
-    search_space, tune_graph, tune_in_space, GenerationStat, TuneOptions, TuneOutcome,
+    search_space, tune_graph, tune_in_space, Accepted, GenerationStat, TuneOptions, TuneOutcome,
 };
 pub use space::{Candidate, SearchSpace};
 

@@ -9,36 +9,24 @@
 //! often. Sites that govern many graph nodes get a proportional boost
 //! too — a win there multiplies across every instance.
 
-use tandem_compiler::{OpLowering, TuneSite};
-use tandem_model::{Graph, OpClass};
-use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
+use tandem_compiler::{Schedule, TuneSite};
+use tandem_model::Graph;
+use tandem_npu::Npu;
 
 /// One mutation weight per site (parallel to `sites`, each ≥ 1):
-/// `1 + instances + wasted_words(baseline lowering) × instances`,
-/// with GEMM-side sites (whose programs the Tandem verifier does not
-/// see) weighted by instance count alone.
-pub fn site_weights(
-    lanes: usize,
-    interim_rows: usize,
-    graph: &Graph,
-    sites: &[TuneSite],
-) -> Vec<u64> {
-    let lowering = OpLowering::new(lanes, interim_rows);
-    let verifier = Verifier::new(
-        VerifyConfig::for_lowering(lanes, interim_rows).with_mode(VerifyMode::Widened),
-    );
+/// `1 + instances + wasted_words(baseline lowering) × instances`, so
+/// GEMM-side sites (which have no Tandem programs) weigh by instance
+/// count alone. The wasted words come from an empty-schedule sibling of
+/// `npu`: the baseline's verify outcomes land in the memo the search's
+/// gate reads.
+pub fn site_weights(npu: &Npu, graph: &Graph, sites: &[TuneSite]) -> Vec<u64> {
+    let mut cfg = npu.config().clone();
+    cfg.schedule = Schedule::empty();
+    let baseline = npu.sibling(cfg);
     sites
         .iter()
         .map(|site| {
-            let node = graph.node(site.node);
-            let mut wasted = 0u64;
-            if node.kind.class() != OpClass::Gemm {
-                if let Ok(compiled) = lowering.lower_node(graph, node) {
-                    for (prog, reps) in &compiled.tiles {
-                        wasted += verifier.verify(prog).wasted_words() * reps;
-                    }
-                }
-            }
+            let wasted = baseline.wasted_words(graph, graph.node(site.node));
             1 + site.instances + wasted * site.instances
         })
         .collect()
@@ -51,10 +39,10 @@ mod tests {
     #[test]
     fn weights_are_positive_and_scale_with_instances() {
         let g = tandem_model::zoo::mobilenetv2();
-        let lowering = OpLowering::new(32, 512);
-        let sites = tandem_compiler::enumerate_sites(&lowering, &g);
+        let npu = Npu::new(tandem_npu::NpuConfig::paper());
+        let sites = npu.tune_sites(&g);
         assert!(!sites.is_empty());
-        let w = site_weights(32, 512, &g, &sites);
+        let w = site_weights(&npu, &g, &sites);
         assert_eq!(w.len(), sites.len());
         assert!(w.iter().all(|&x| x >= 1));
         // A repeated site never weighs less than a structurally identical

@@ -10,21 +10,20 @@
 //! wall-time, never results. Wall-times are reported separately and are
 //! the only nondeterministic fields.
 //!
-//! Scoring runs on [`Npu::sibling`]s of one cache hub: every candidate's
-//! run reuses the per-node simulation of each `(site, choice)` decision
-//! the search has already paid for, which is what makes hundreds of
-//! whole-graph evaluations affordable. The verify gate materializes each
-//! candidate through [`schedule_graph_opts`] in widened mode and rejects
-//! any candidate with error-severity findings before it is ever scored.
+//! Gate and score run on [`Npu::sibling`]s of one cache hub: every
+//! candidate reuses the per-node verify outcome and simulation of each
+//! `(site, choice)` decision the search has already paid for, which is
+//! what makes hundreds of whole-graph evaluations affordable. The gate,
+//! [`Npu::verify`], rejects any candidate with error-severity findings
+//! before it is ever scored.
 
 use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
 use std::time::Instant;
-use tandem_compiler::{schedule_graph_opts, CompileOptions, OpLowering};
+use tandem_compiler::TileChoice;
 use tandem_fleet::SplitMix64;
 use tandem_model::Graph;
 use tandem_npu::{par_map, Npu};
-use tandem_verify::VerifyMode;
 
 /// Search-driver options.
 #[derive(Debug, Clone)]
@@ -44,9 +43,6 @@ pub struct TuneOptions {
     /// override — the spaces are small and the cache hub makes singles
     /// cheap, so the full coordinate sweep is the default).
     pub max_singles: usize,
-    /// Record every accepted `(candidate, cycles)` pair in the outcome
-    /// (tests re-verify them; large searches leave this off).
-    pub record_accepted: bool,
 }
 
 impl Default for TuneOptions {
@@ -58,7 +54,6 @@ impl Default for TuneOptions {
             beam: 6,
             jobs: 0,
             max_singles: 0,
-            record_accepted: false,
         }
     }
 }
@@ -129,9 +124,40 @@ pub struct TuneOutcome {
     pub verify_wall_s: f64,
     /// Total simulation wall-time.
     pub sim_wall_s: f64,
-    /// Every accepted `(candidate, cycles)` pair, in first-evaluation
-    /// order — only filled under [`TuneOptions::record_accepted`].
-    pub accepted: Vec<(Candidate, u64)>,
+    /// Every accepted candidate and its cycles, in first-evaluation
+    /// order (at most [`TuneOutcome::evaluated`] entries).
+    pub accepted: Accepted,
+}
+
+/// Accepted `(candidate, cycles)` pairs in first-evaluation order, packed
+/// into two vectors rather than one heap allocation per candidate.
+#[derive(Debug, Clone, Default)]
+pub struct Accepted {
+    choices: Vec<(u64, TileChoice)>,
+    /// Per candidate: the end of its run in `choices`, and its cycles.
+    ends: Vec<(usize, u64)>,
+}
+
+impl Accepted {
+    /// Appends a candidate, returning its index.
+    fn push(&mut self, cand: &Candidate, cycles: u64) -> usize {
+        self.choices
+            .extend(cand.choices().iter().map(|(&k, &c)| (k, c)));
+        self.ends.push((self.choices.len(), cycles));
+        self.ends.len() - 1
+    }
+
+    fn get(&self, i: usize) -> (Candidate, u64) {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p].0);
+        let (end, cycles) = self.ends[i];
+        let choices = self.choices[start..end].iter().copied().collect();
+        (Candidate::new(choices), cycles)
+    }
+
+    /// Every accepted candidate and its cycles, in first-evaluation order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Candidate, u64)> + '_ {
+        (0..self.ends.len()).map(|i| self.get(i))
+    }
 }
 
 impl TuneOutcome {
@@ -149,9 +175,7 @@ impl TuneOutcome {
 /// weighted by the dead-traffic mutation prior.
 pub fn search_space(npu: &Npu, graph: &Graph) -> SearchSpace {
     let sites = npu.tune_sites(graph);
-    let cfg = npu.config();
-    let weights =
-        crate::prior::site_weights(cfg.tandem.lanes, cfg.tandem.interim_rows, graph, &sites);
+    let weights = crate::prior::site_weights(npu, graph, &sites);
     SearchSpace::new(sites, weights)
 }
 
@@ -161,24 +185,20 @@ pub fn tune_graph(npu: &Npu, graph: &Graph, opts: &TuneOptions) -> TuneOutcome {
     tune_in_space(npu, graph, &space, opts)
 }
 
-/// Candidate evaluation: the widened verify gate and the cached-sibling
-/// score, both pure functions of the candidate.
+/// Candidate evaluation: the verify gate and the score, both through
+/// cache-sharing siblings and both pure functions of the candidate.
 struct Evaluator<'a> {
     npu: &'a Npu,
     graph: &'a Graph,
-    gate_lowering: OpLowering,
 }
 
 impl Evaluator<'_> {
-    /// `true` when the candidate's materialized schedule compiles with no
-    /// error-severity verify finding (widened mode).
+    /// `true` when every node of the candidate's schedule lowers with no
+    /// error-severity (widened) verify finding.
     fn verify_ok(&self, cand: &Candidate) -> bool {
-        let opts = CompileOptions {
-            verify: true,
-            verify_mode: VerifyMode::Widened,
-            schedule: cand.schedule(),
-        };
-        schedule_graph_opts(&self.gate_lowering, self.graph, &opts).is_ok()
+        let mut cfg = self.npu.config().clone();
+        cfg.schedule = cand.schedule();
+        self.npu.sibling(cfg).verify(self.graph).is_clean()
     }
 
     /// Simulated end-to-end cycles of the candidate, through a sibling
@@ -200,24 +220,20 @@ pub fn tune_in_space(
     space: &SearchSpace,
     opts: &TuneOptions,
 ) -> TuneOutcome {
-    let eval = Evaluator {
-        npu,
-        graph,
-        gate_lowering: OpLowering::new(npu.config().tandem.lanes, npu.config().tandem.interim_rows),
-    };
+    let eval = Evaluator { npu, graph };
     let mut rng = SplitMix64::new(opts.seed);
     // digest → Some(cycles) accepted / None rejected.
     let mut memo: HashMap<u64, Option<u64>> = HashMap::new();
-    // Every accepted candidate, kept sorted by (cycles, digest).
-    let mut pool: Vec<(u64, u64, Candidate)> = Vec::new();
-    let mut accepted_log: Vec<(Candidate, u64)> = Vec::new();
+    let mut accepted = Accepted::default();
+    // `(cycles, digest, index into accepted)`, kept sorted.
+    let mut pool: Vec<(u64, u64, usize)> = Vec::new();
     let mut stats: Vec<GenerationStat> = Vec::new();
 
     let run_generation = |generation: usize,
                           population: Vec<Candidate>,
                           memo: &mut HashMap<u64, Option<u64>>,
-                          pool: &mut Vec<(u64, u64, Candidate)>,
-                          accepted_log: &mut Vec<(Candidate, u64)>|
+                          pool: &mut Vec<(u64, u64, usize)>,
+                          accepted: &mut Accepted|
      -> GenerationStat {
         // Dedupe within the generation, preserving first-occurrence order.
         let mut uniq: Vec<Candidate> = Vec::with_capacity(population.len());
@@ -254,10 +270,7 @@ pub fn tune_in_space(
         let sim_wall_s = t1.elapsed().as_secs_f64();
         for (c, &cycles) in to_score.iter().zip(&scores) {
             memo.insert(c.digest(), Some(cycles));
-            pool.push((cycles, c.digest(), c.clone()));
-            if opts.record_accepted {
-                accepted_log.push((c.clone(), cycles));
-            }
+            pool.push((cycles, c.digest(), accepted.push(c, cycles)));
         }
         pool.sort_by_key(|c| (c.0, c.1));
         let best_cycles = pool.first().map(|&(c, _, _)| c).unwrap_or(u64::MAX);
@@ -311,13 +324,7 @@ pub fn tune_in_space(
             gen0.push(cand);
         }
     }
-    stats.push(run_generation(
-        0,
-        gen0,
-        &mut memo,
-        &mut pool,
-        &mut accepted_log,
-    ));
+    stats.push(run_generation(0, gen0, &mut memo, &mut pool, &mut accepted));
     let baseline_cycles = memo
         .get(&Candidate::baseline().digest())
         .copied()
@@ -357,7 +364,7 @@ pub fn tune_in_space(
         let elites: Vec<Candidate> = pool
             .iter()
             .take(opts.beam.max(1))
-            .map(|(_, _, c)| c.clone())
+            .map(|&(_, _, i)| accepted.get(i).0)
             .collect();
         let mut population: Vec<Candidate> = Vec::with_capacity(opts.population);
         if generation == 1 && !greedy.is_empty() {
@@ -382,14 +389,15 @@ pub fn tune_in_space(
             population,
             &mut memo,
             &mut pool,
-            &mut accepted_log,
+            &mut accepted,
         ));
     }
 
-    let (best_cycles, _, best) = pool
-        .first()
-        .cloned()
-        .expect("baseline is always in the pool");
+    let &(_, _, best) = pool.first().expect("baseline is always in the pool");
+    // The outcome outlives the search: drop the vectors' growth slack.
+    accepted.choices.shrink_to_fit();
+    accepted.ends.shrink_to_fit();
+    let (best, best_cycles) = accepted.get(best);
     TuneOutcome {
         model: graph.name.clone(),
         seed: opts.seed,
@@ -404,6 +412,6 @@ pub fn tune_in_space(
         verify_wall_s: stats.iter().map(|s| s.verify_wall_s).sum(),
         sim_wall_s: stats.iter().map(|s| s.sim_wall_s).sum(),
         generations: stats,
-        accepted: accepted_log,
+        accepted,
     }
 }

@@ -17,30 +17,29 @@ fn cached_scores_bit_agree_with_uncached_runs() {
         generations: 3,
         population: 10,
         beam: 3,
-        record_accepted: true,
         ..TuneOptions::default()
     };
     let out = tune_in_space(&npu, &g, &space, &opts);
     assert!(
-        out.accepted.len() >= 4,
+        out.accepted.iter().len() >= 4,
         "search accepted too few candidates"
     );
 
     // The best candidate plus an evenly spaced sample of the rest.
-    let step = (out.accepted.len() / 4).max(1);
+    let step = (out.accepted.iter().len() / 4).max(1);
     let best = (out.best.clone(), out.best_cycles);
     let sample = out
         .accepted
         .iter()
         .step_by(step)
-        .chain(std::iter::once(&best));
+        .chain(std::iter::once(best));
     for (cand, recorded) in sample {
         let mut cfg = NpuConfig::paper();
         cfg.verify = false;
         cfg.schedule = cand.schedule();
         let fresh = Npu::uncached(cfg).run(&g).total_cycles;
         assert_eq!(
-            *recorded,
+            recorded,
             fresh,
             "cached score diverges from uncached oracle for {:016x}",
             cand.digest()

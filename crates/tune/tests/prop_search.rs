@@ -19,7 +19,6 @@ fn opts(seed: u64, jobs: usize) -> TuneOptions {
         population: 10,
         beam: 3,
         jobs,
-        record_accepted: true,
         ..TuneOptions::default()
     }
 }
@@ -45,10 +44,12 @@ fn every_accepted_candidate_verifies_clean() {
     let g = demo_graph();
     let npu = Npu::new(NpuConfig::paper());
     let out = tune_in_space(&npu, &g, &search_space(&npu, &g), &opts(11, 0));
-    assert!(!out.accepted.is_empty());
+    // Every candidate the gate passed is recorded once, with its score.
+    assert_eq!(out.accepted.iter().len(), out.evaluated - out.rejected);
+    assert!(out.accepted.iter().len() > 1);
     let cfg = npu.config();
     let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows);
-    for (cand, _) in &out.accepted {
+    for (cand, _) in out.accepted.iter() {
         let copts = CompileOptions {
             verify: true,
             verify_mode: VerifyMode::Widened,
