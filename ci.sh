@@ -34,6 +34,11 @@ cargo run --release -q --bin tandem_lint -- TANDEM_LINT.json --budget-ms 250
 # Trace outputs land in artifacts/ (gitignored), not the repo root.
 mkdir -p artifacts
 
+# Every paper table and figure (paper value next to measured), kept as a
+# CI artifact so each run records the reproduction it was tested at.
+echo "==> all-figures (paper-vs-measured tables -> artifacts/FIGURES.txt)"
+cargo run --release -q --bin all_figures > artifacts/FIGURES.txt
+
 # tandem_profile exits non-zero if the attribution buckets don't sum to
 # the reported latency; the traces are uploaded as CI artifacts.
 echo "==> tandem-profile (cycle-attribution traces: ResNet-50, BERT)"

@@ -1,10 +1,28 @@
-//! Prints every reproduced table and figure in paper order.
+//! Prints every reproduced table and figure in paper order, or only the
+//! ones named by id (`all_figures fig14 fig24b`; ids as in
+//! [`tandem_bench::figures::ALL`]). An unknown id prints the id list and
+//! exits with status 2.
 
+use std::process::ExitCode;
 use std::time::Instant;
-use tandem_bench::figures::*;
+use tandem_bench::figures;
 use tandem_bench::Suite;
 
-fn main() {
+fn main() -> ExitCode {
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let mut selected = Vec::new();
+    for id in &ids {
+        let Some(build) = figures::by_id(id) else {
+            let known: Vec<&str> = figures::ALL.iter().map(|&(id, _)| id).collect();
+            eprintln!("unknown figure id `{id}`; known ids: {}", known.join(" "));
+            return ExitCode::from(2);
+        };
+        selected.push(build);
+    }
+    if selected.is_empty() {
+        selected = figures::ALL.iter().map(|&(_, build)| build).collect();
+    }
+
     let t0 = Instant::now();
     let suite = Suite::load();
     eprintln!(
@@ -14,31 +32,8 @@ fn main() {
         suite.tandem.iter().map(|r| r.stats.hit_rate()).sum::<f64>() / suite.tandem.len() as f64
             * 100.0
     );
-    for table in [
-        table1_operator_classes(&suite),
-        fig01_operator_types(&suite),
-        fig02_cumulative_ops(&suite),
-        fig03_runtime_breakdown(&suite),
-        table2_design_classes(&suite),
-        fig05_roofline(&suite),
-        fig06_specialization_overheads(&suite),
-        fig08_utilization(&suite),
-        table3_config(&suite),
-        fig14_speedup_baselines(&suite),
-        fig15_energy_baselines(&suite),
-        fig16_gemmini(&suite),
-        fig17_gemmini_breakdown(&suite),
-        fig18_vpu_speedup(&suite),
-        fig19_vpu_energy(&suite),
-        fig20_perf_per_watt(&suite),
-        fig21_a100(&suite),
-        fig22_a100_breakdown(&suite),
-        fig23_nongemm_speedup(&suite),
-        fig24_tandem_breakdown(&suite),
-        fig24b_cycle_attribution(&suite),
-        fig25_energy_breakdown(&suite),
-        fig26_area(&suite),
-    ] {
-        println!("{table}");
+    for build in selected {
+        println!("{}", build(&suite));
     }
+    ExitCode::SUCCESS
 }

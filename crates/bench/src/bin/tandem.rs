@@ -15,7 +15,6 @@
 use std::process::ExitCode;
 use tandem_core::{Dram, TandemConfig, TandemProcessor};
 use tandem_model::zoo::{self, Benchmark};
-use tandem_model::Graph;
 use tandem_npu::{Despecialization, Npu, NpuConfig, TileGranularity};
 
 fn usage() -> ExitCode {
@@ -24,19 +23,6 @@ fn usage() -> ExitCode {
          [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm>"
     );
     ExitCode::from(2)
-}
-
-fn model_by_name(name: &str, seq: usize) -> Option<Graph> {
-    Some(match name.to_lowercase().as_str() {
-        "vgg16" | "vgg-16" => zoo::vgg16(),
-        "resnet50" | "resnet-50" => zoo::resnet50(),
-        "yolov3" => zoo::yolov3(),
-        "mobilenetv2" | "mobilenet" => zoo::mobilenetv2(),
-        "efficientnet" | "efficientnet-b0" => zoo::efficientnet_b0(),
-        "bert" | "bert-base" => zoo::bert_base(seq),
-        "gpt2" | "gpt-2" => zoo::gpt2(seq),
-        _ => return None,
-    })
 }
 
 fn parse_knobs(spec: &str) -> Result<Despecialization, String> {
@@ -99,9 +85,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    let Some(graph) = model_by_name(model_name, seq) else {
-        eprintln!("unknown model `{model_name}` — see `tandem models`");
-        return ExitCode::from(2);
+    let graph = match Benchmark::from_name(model_name) {
+        Some(Benchmark::Bert) => zoo::bert_base(seq),
+        Some(Benchmark::Gpt2) => zoo::gpt2(seq),
+        Some(bench) => bench.graph(),
+        None => {
+            eprintln!("unknown model `{model_name}` — see `tandem models`");
+            return ExitCode::from(2);
+        }
     };
 
     let report = Npu::new(cfg.clone()).run(&graph);

@@ -21,24 +21,6 @@
 use tandem_model::zoo::Benchmark;
 use tandem_npu::{ChromeTraceSink, Npu, NpuConfig};
 
-fn benchmark_for(arg: &str) -> Option<Benchmark> {
-    let key: String = arg
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    match key.as_str() {
-        "vgg16" | "vgg" => Some(Benchmark::Vgg16),
-        "resnet50" | "resnet" => Some(Benchmark::Resnet50),
-        "yolov3" | "yolo" => Some(Benchmark::Yolov3),
-        "mobilenetv2" | "mobilenet" => Some(Benchmark::Mobilenetv2),
-        "efficientnetb0" | "efficientnet" => Some(Benchmark::Efficientnet),
-        "bertbase" | "bert" => Some(Benchmark::Bert),
-        "gpt2" | "gpt" => Some(Benchmark::Gpt2),
-        _ => None,
-    }
-}
-
 fn usage() -> ! {
     eprintln!("usage: tandem_profile <model> [out.trace.json]");
     eprintln!("  model: vgg16 | resnet50 | yolov3 | mobilenetv2 | efficientnet_b0 | bert | gpt2");
@@ -50,7 +32,7 @@ fn main() {
     let Some(model_arg) = args.next() else {
         usage()
     };
-    let Some(bench) = benchmark_for(&model_arg) else {
+    let Some(bench) = Benchmark::from_name(&model_arg) else {
         eprintln!("unknown model {model_arg:?}");
         usage()
     };

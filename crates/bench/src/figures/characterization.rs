@@ -2,6 +2,7 @@
 
 use crate::suite::Suite;
 use crate::table::{pct, Table};
+use std::collections::BTreeMap;
 use tandem_model::{operator_roofline, OpClass, OpKind};
 
 /// Table 1: the non-GEMM operator classes with the operators each model
@@ -119,6 +120,49 @@ pub fn fig03_runtime_breakdown(suite: &Suite) -> Table {
         ]);
     }
     t.note("paper: non-GEMM reaches 81% of EfficientNet runtime on baseline(2) and 73% on the GPU");
+    t
+}
+
+/// Figure 4: the repeated GEMM/non-GEMM subgraphs of each model. The
+/// partitioner's fused-block signatures *are* those subgraphs; the table
+/// lists the six most frequent per model.
+pub fn fig04_subgraphs(suite: &Suite) -> Table {
+    let mut t = Table::new(
+        "Figure 4 — repeated subgraphs per model ([GEMM] and (non-GEMM) nodes)",
+        &["model", "count", "block signature"],
+    );
+    for (bench, graph) in &suite.models {
+        let mut signatures: BTreeMap<String, usize> = BTreeMap::new();
+        for block in &tandem_compiler::Partitioner::new().partition(graph) {
+            let mut parts: Vec<String> = Vec::new();
+            if let Some(g) = block.gemm {
+                parts.push(format!("[{}]", graph.node(g).kind));
+            }
+            for &id in &block.non_gemm {
+                let node = graph.node(id);
+                if node.kind.class() == OpClass::LayoutTransform
+                    && graph.tensor(node.outputs[0]).shape == graph.tensor(node.inputs[0]).shape
+                {
+                    continue; // pure-metadata reshapes clutter the signature
+                }
+                parts.push(format!("({})", node.kind));
+            }
+            if !parts.is_empty() {
+                *signatures.entry(parts.join("→")).or_default() += 1;
+            }
+        }
+        let mut ranked: Vec<(String, usize)> = signatures.into_iter().collect();
+        ranked.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+        for (sig, n) in ranked.into_iter().take(6) {
+            let sig = if sig.len() > 90 {
+                format!("{}…", &sig[..90])
+            } else {
+                sig
+            };
+            t.row(vec![bench.name().to_string(), n.to_string(), sig]);
+        }
+    }
+    t.note("paper Fig. 4: Conv→Relu chains with residual Adds (ResNet), Conv→Clip→DWConv→Clip→Conv→Add (MobileNetV2), MatMul/Transpose/Softmax attention blocks (BERT)");
     t
 }
 

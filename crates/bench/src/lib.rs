@@ -4,16 +4,16 @@
 //! Tandem Processor paper's evaluation (§2, §8). Each `fig*`/`table*`
 //! function regenerates the corresponding result — same benchmarks, same
 //! baselines, same series — and prints it next to the paper's reported
-//! value. `EXPERIMENTS.md` at the repository root records the full
-//! paper-vs-measured comparison.
+//! value; [`figures::ALL`] registers them by id. `EXPERIMENTS.md` at the
+//! repository root records the full paper-vs-measured comparison.
 //!
-//! Run a single experiment:
+//! Run a single experiment by id:
 //! ```text
-//! cargo run -p tandem-bench --release --bin fig14_speedup_baselines
+//! cargo run -p tandem-bench --release --bin all_figures -- fig14
 //! ```
-//! or everything at once via the `figures` bench target:
+//! or everything at once:
 //! ```text
-//! cargo bench -p tandem-bench --bench figures
+//! cargo run -p tandem-bench --release --bin all_figures
 //! ```
 
 #![warn(missing_docs)]
@@ -30,6 +30,21 @@ pub fn geomean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
+}
+
+/// Mean solo service time (ns) of the weighted model `mix` (catalog
+/// index, weight) on the `probe` NPU — the capacity yardstick the
+/// serving benches derive their offered rates from.
+pub fn mean_service_ns(
+    probe: &tandem_npu::Npu,
+    catalog: &tandem_fleet::Catalog,
+    mix: &[(usize, f64)],
+) -> f64 {
+    let freq = probe.config().tandem.freq_ghz;
+    let total: f64 = mix.iter().map(|&(_, w)| w).sum();
+    mix.iter()
+        .map(|&(m, w)| probe.estimate(catalog.graph(m)) as f64 / freq * w / total)
+        .sum()
 }
 
 /// Reads the number after `"<key>":` out of a committed baseline JSON

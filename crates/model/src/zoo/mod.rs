@@ -68,6 +68,27 @@ impl Benchmark {
         }
     }
 
+    /// Parses a command-line model name: case, dashes and underscores are
+    /// ignored, and short aliases (`vgg`, `resnet`, `yolo`, `mobilenet`,
+    /// `efficientnet`, `bert`, `gpt`) are accepted.
+    pub fn from_name(name: &str) -> Option<Benchmark> {
+        let key: String = name
+            .chars()
+            .filter(char::is_ascii_alphanumeric)
+            .collect::<String>()
+            .to_ascii_lowercase();
+        Some(match key.as_str() {
+            "vgg16" | "vgg" => Benchmark::Vgg16,
+            "resnet50" | "resnet" => Benchmark::Resnet50,
+            "yolov3" | "yolo" => Benchmark::Yolov3,
+            "mobilenetv2" | "mobilenet" => Benchmark::Mobilenetv2,
+            "efficientnetb0" | "efficientnet" => Benchmark::Efficientnet,
+            "bertbase" | "bert" => Benchmark::Bert,
+            "gpt2" | "gpt" => Benchmark::Gpt2,
+            _ => return None,
+        })
+    }
+
     /// Builds the operator graph at its default evaluation size.
     pub fn graph(self) -> Graph {
         match self {
@@ -100,6 +121,31 @@ mod tests {
             assert!(!g.nodes().is_empty());
             assert!(!g.outputs().is_empty());
         }
+    }
+
+    #[test]
+    fn names_and_aliases_parse() {
+        for bench in Benchmark::ALL {
+            assert_eq!(Benchmark::from_name(bench.name()), Some(bench));
+        }
+        for (aliases, bench) in [
+            (&["vgg16", "vgg-16", "vgg"][..], Benchmark::Vgg16),
+            (&["resnet50", "resnet-50", "resnet"], Benchmark::Resnet50),
+            (&["yolov3", "yolo"], Benchmark::Yolov3),
+            (&["mobilenetv2", "mobilenet"], Benchmark::Mobilenetv2),
+            (
+                &["efficientnet", "efficientnet-b0", "efficientnet_b0"],
+                Benchmark::Efficientnet,
+            ),
+            (&["bert", "bert-base"], Benchmark::Bert),
+            (&["gpt2", "gpt-2", "gpt"], Benchmark::Gpt2),
+        ] {
+            for alias in aliases {
+                assert_eq!(Benchmark::from_name(alias), Some(bench), "{alias}");
+            }
+        }
+        assert_eq!(Benchmark::from_name("alexnet"), None);
+        assert_eq!(Benchmark::from_name(""), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! `tandem-verify`'s dead-traffic lints attach a structured
 //! wasted-word estimate to every dead scratchpad store and redundant
-//! IMM write ([`tandem_verify::VerifyReport::wasted_words`]). A site
+//! IMM write, which the NPU sums per node ([`Npu::wasted_words`]). A site
 //! whose baseline lowering moves words for nothing is where a different
 //! tile shape is most likely to pay off, so the search mutates it more
 //! often. Sites that govern many graph nodes get a proportional boost

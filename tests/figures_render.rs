@@ -1,33 +1,28 @@
 //! Every table/figure reproduction must render with all seven benchmarks
 //! present and non-degenerate values.
 
-use tandem_bench::figures::*;
+use tandem_bench::figures;
 use tandem_bench::Suite;
+
+/// Tables with one row (or series) per model.
+const PER_MODEL: [&str; 18] = [
+    "fig01", "fig02", "fig03", "fig06", "fig08", "fig14", "fig15", "fig16", "fig17", "fig18",
+    "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig24b", "fig25",
+];
+
+/// Tables over operators, design classes, configuration or area.
+const OTHER: [&str; 6] = ["table1", "table2", "table3", "fig04", "fig05", "fig26"];
+
+fn render(suite: &Suite, id: &str) -> String {
+    let build = figures::by_id(id).unwrap_or_else(|| panic!("{id} is not in figures::ALL"));
+    build(suite).render()
+}
 
 #[test]
 fn every_figure_renders_with_all_models() {
     let suite = Suite::load();
-    let per_model_tables = [
-        ("fig01", fig01_operator_types(&suite)),
-        ("fig02", fig02_cumulative_ops(&suite)),
-        ("fig03", fig03_runtime_breakdown(&suite)),
-        ("fig06", fig06_specialization_overheads(&suite)),
-        ("fig08", fig08_utilization(&suite)),
-        ("fig14", fig14_speedup_baselines(&suite)),
-        ("fig15", fig15_energy_baselines(&suite)),
-        ("fig16", fig16_gemmini(&suite)),
-        ("fig17", fig17_gemmini_breakdown(&suite)),
-        ("fig18", fig18_vpu_speedup(&suite)),
-        ("fig19", fig19_vpu_energy(&suite)),
-        ("fig20", fig20_perf_per_watt(&suite)),
-        ("fig21", fig21_a100(&suite)),
-        ("fig22", fig22_a100_breakdown(&suite)),
-        ("fig23", fig23_nongemm_speedup(&suite)),
-        ("fig24", fig24_tandem_breakdown(&suite)),
-        ("fig25", fig25_energy_breakdown(&suite)),
-    ];
-    for (name, table) in &per_model_tables {
-        let text = table.render();
+    for name in PER_MODEL {
+        let text = render(&suite, name);
         for model in [
             "VGG-16",
             "ResNet-50",
@@ -43,15 +38,18 @@ fn every_figure_renders_with_all_models() {
         assert!(!text.contains("inf"), "{name} produced inf:\n{text}");
     }
 
-    for (name, table) in [
-        ("table1", table1_operator_classes(&suite)),
-        ("table2", table2_design_classes(&suite)),
-        ("table3", table3_config(&suite)),
-        ("fig05", fig05_roofline(&suite)),
-        ("fig26", fig26_area(&suite)),
-    ] {
-        let text = table.render();
+    for name in OTHER {
+        let text = render(&suite, name);
         assert!(text.lines().count() > 4, "{name} too short:\n{text}");
         assert!(!text.contains("NaN"), "{name} produced NaN");
     }
+}
+
+#[test]
+fn render_checks_cover_every_registered_figure() {
+    let mut checked: Vec<&str> = PER_MODEL.iter().chain(&OTHER).copied().collect();
+    let mut registered: Vec<&str> = figures::ALL.iter().map(|&(id, _)| id).collect();
+    checked.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(checked, registered);
 }
