@@ -260,8 +260,8 @@ pub struct TuneSite {
     pub key: u64,
     /// Name of a representative node (for reports and walkthroughs).
     pub name: String,
-    /// A representative node (the mutation prior recompiles it to rank
-    /// sites by wasted scratchpad traffic).
+    /// A representative node: lowering it under a choice shows what the
+    /// choice does at every instance of the site.
     pub node: NodeId,
     /// How many graph nodes share this signature — a proxy for how much
     /// total runtime the site governs.

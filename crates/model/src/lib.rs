@@ -32,6 +32,7 @@ mod dot;
 mod graph;
 pub mod interp;
 mod op;
+mod rng;
 mod roofline;
 mod shape;
 mod stats;
@@ -40,6 +41,7 @@ pub mod zoo;
 pub use builder::GraphBuilder;
 pub use graph::{Graph, GraphError, Node, NodeId, Tensor, TensorId};
 pub use op::{OpAttrs, OpClass, OpKind, Padding};
+pub use rng::SplitMix64;
 pub use roofline::{operator_roofline, RooflinePoint};
 pub use shape::Shape;
 pub use stats::{GraphStats, NodeCost};

@@ -144,8 +144,6 @@ struct NodeVerify {
     programs: u64,
     /// Error-severity findings, plus one for a failed lowering.
     errors: u64,
-    /// Σ over programs of the dead-traffic wasted-word estimate × reps.
-    wasted_words: u64,
     diagnostics: Vec<String>,
 }
 
@@ -428,13 +426,6 @@ impl Npu {
         summary
     }
 
-    /// The dead-traffic lints' wasted-word estimate for `node`'s programs
-    /// (Σ wasted words × repetitions), from the memo [`Npu::verify`]
-    /// folds; the autotuner's mutation prior ranks sites by it.
-    pub fn wasted_words(&self, graph: &Graph, node: &Node) -> u64 {
-        self.node_verify_outcome(graph, node).wasted_words
-    }
-
     /// The signature of `node` under this NPU's lowering: computed once
     /// per node visit, it keys the compile, verify and sim caches, and its
     /// [`NodeSignature::site_key`] names the node's tuning site.
@@ -466,11 +457,10 @@ impl Npu {
                     let verifier = Verifier::new(
                         VerifyConfig::from(&self.cfg.tandem).with_mode(VerifyMode::Widened),
                     );
-                    for (prog, reps) in &c.tiles {
+                    for (prog, _) in &c.tiles {
                         let rep = verifier.verify(prog);
                         out.programs += 1;
                         out.errors += rep.errors().count() as u64;
-                        out.wasted_words += rep.wasted_words() * reps;
                         out.diagnostics
                             .extend(rep.diagnostics.iter().map(|d| d.to_string()));
                     }

@@ -2,7 +2,7 @@
 //! only — every modeled number (cycles, energy, DRAM traffic, per-kind
 //! breakdowns) is bit-identical to the cold, serial, uncached path.
 
-use tandem_model::zoo;
+use tandem_model::zoo::{self, Benchmark};
 use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, TileGranularity};
 
 /// Asserts the full architectural equality plus the headline scalars
@@ -45,13 +45,12 @@ fn warm_run_equals_cold_run() {
 
 #[test]
 fn cached_run_equals_uncached_run() {
-    for (name, graph) in [
-        ("mobilenetv2", zoo::mobilenetv2()),
-        ("bert_base", zoo::bert_base(32)),
-    ] {
-        let cached = Npu::new(NpuConfig::paper()).run(&graph);
+    for bench in Benchmark::ALL {
+        let (name, graph) = (bench.name(), bench.graph());
+        let npu = Npu::new(NpuConfig::paper());
         let uncached = Npu::uncached(NpuConfig::paper()).run(&graph);
-        assert_identical(&cached, &uncached, name);
+        assert_identical(&npu.run(&graph), &uncached, &format!("{name} cold"));
+        assert_identical(&npu.run(&graph), &uncached, &format!("{name} warm"));
         assert_eq!(
             uncached.stats.lookups(),
             0,

@@ -20,10 +20,10 @@
 //! 3. **Score** — accepted candidates run on siblings of the same hub,
 //!    so repeated `(site, choice)` decisions verify and simulate once
 //!    across the whole search.
-//! 4. **Search** — a single-site seeding sweep, a greedy
-//!    coordinate-descent composite, then beam-elite evolution (weighted
-//!    point mutation + uniform crossover), with the dead-traffic lint's
-//!    wasted-word estimates as the mutation prior ([`site_weights`]).
+//! 4. **Search** — a single-site seeding sweep over the tunable sites
+//!    in site order, a greedy coordinate-descent composite, then
+//!    beam-elite evolution (point mutation of a uniformly drawn tunable
+//!    site + uniform crossover).
 //!
 //! Fixing the seed fixes the entire trajectory: the driver draws all
 //! randomness on one thread and workers fill order-indexed slots, so
@@ -33,12 +33,10 @@
 
 #![warn(missing_docs)]
 
-mod prior;
 mod report;
 mod search;
 mod space;
 
-pub use prior::site_weights;
 pub use report::{outcome_json, trajectory_json};
 pub use search::{
     search_space, tune_graph, tune_in_space, Accepted, GenerationStat, TuneOptions, TuneOutcome,

@@ -1,6 +1,7 @@
-//! The seeded search driver: a single-site seeding sweep, then beam +
-//! evolutionary generations, scored by the cached simulator and gated by
-//! `tandem-verify`.
+//! The seeded search driver: a single-site seeding sweep over the
+//! tunable sites in site order, then beam + evolutionary generations
+//! (each mutation redraws one uniformly chosen tunable site), scored by
+//! the cached simulator and gated by `tandem-verify`.
 //!
 //! Determinism contract: for a fixed seed the whole search — every
 //! candidate visited, every score, the final best — is a pure function
@@ -21,8 +22,7 @@ use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
 use std::time::Instant;
 use tandem_compiler::TileChoice;
-use tandem_fleet::SplitMix64;
-use tandem_model::Graph;
+use tandem_model::{Graph, SplitMix64};
 use tandem_npu::{par_map, Npu};
 
 /// Search-driver options.
@@ -171,12 +171,9 @@ impl TuneOutcome {
     }
 }
 
-/// Builds the search space for `graph` on `npu`: the NPU's tuning sites
-/// weighted by the dead-traffic mutation prior.
+/// Builds the search space for `graph` on `npu`: the NPU's tuning sites.
 pub fn search_space(npu: &Npu, graph: &Graph) -> SearchSpace {
-    let sites = npu.tune_sites(graph);
-    let weights = crate::prior::site_weights(npu, graph, &sites);
-    SearchSpace::new(sites, weights)
+    SearchSpace::new(npu.tune_sites(graph))
 }
 
 /// Runs the full search for `graph` on `npu` (building the space first).
@@ -303,15 +300,10 @@ pub fn tune_in_space(
     } else {
         usize::MAX
     };
-    // Sites in descending prior weight (ties by site order), so the cap
-    // trims the least promising singles first.
-    let mut order: Vec<usize> = (0..space.len())
-        .filter(|&i| space.weights()[i] > 0)
-        .collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(space.weights()[i]), i));
+    // Tunable sites in site order; the cap trims the sweep's tail.
     let mut gen0: Vec<Candidate> = vec![Candidate::baseline()];
     let mut singles: Vec<(usize, Candidate)> = Vec::new();
-    'sweep: for &i in &order {
+    'sweep: for &i in space.tunable() {
         for &c in &space.sites()[i].candidates {
             if c == space.sites()[i].baseline {
                 continue;
@@ -402,7 +394,7 @@ pub fn tune_in_space(
         model: graph.name.clone(),
         seed: opts.seed,
         sites: space.len(),
-        tunable_sites: space.weights().iter().filter(|&&w| w > 0).count(),
+        tunable_sites: space.tunable().len(),
         space_log2: space.log2_points(),
         baseline_cycles,
         best_cycles,

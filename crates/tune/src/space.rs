@@ -3,17 +3,16 @@
 //! A [`Candidate`] is a partial assignment of tuning sites to
 //! [`TileChoice`]s — absent sites keep the hand-rolled heuristic, so the
 //! empty candidate *is* the baseline compiler. The [`SearchSpace`] holds
-//! the sites the target NPU exposes for a graph plus the mutation prior
-//! (one weight per site, fed by the dead-traffic lint and the site's
-//! instance count), and implements the search's three generators:
-//! random sampling, weighted point mutation, and uniform crossover. All
-//! three draw from the caller's [`SplitMix64`] stream only, so a fixed
-//! seed replays the identical search.
+//! the sites the target NPU exposes for a graph and implements the
+//! search's three generators: random sampling, point mutation of a
+//! uniformly drawn tunable site, and uniform crossover. All three draw
+//! from the caller's [`SplitMix64`] stream only, so a fixed seed replays
+//! the identical search.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use tandem_compiler::{Schedule, StableHasher, TileChoice, TuneSite};
-use tandem_fleet::SplitMix64;
+use tandem_model::SplitMix64;
 
 /// Uniform draw from `0..n` (0 when `n == 0`).
 pub(crate) fn below(rng: &mut SplitMix64, n: usize) -> usize {
@@ -91,44 +90,23 @@ impl Candidate {
     }
 }
 
-/// The per-graph search space: the sites the NPU exposes and the
-/// mutation prior over them.
+/// The per-graph search space: the sites the NPU exposes for a graph.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     sites: Vec<TuneSite>,
-    /// Per-site mutation weight (≥ 1): sites whose baseline lowering
-    /// wastes more scratchpad traffic — or that govern more graph nodes —
-    /// are mutated proportionally more often.
-    weights: Vec<u64>,
-    /// Cumulative weights for O(log n)-free linear weighted picks.
-    cum: Vec<u64>,
+    /// Indices of the sites with at least two candidates, in site order.
+    /// A single-candidate site (only the baseline) is inert, so the
+    /// operators never draw one.
+    tunable: Vec<usize>,
 }
 
 impl SearchSpace {
-    /// A space over `sites` with a mutation prior (`weights[i]` for
-    /// `sites[i]`; values are clamped to ≥ 1, and the vector is padded or
-    /// truncated to the site count).
-    pub fn new(sites: Vec<TuneSite>, weights: Vec<u64>) -> Self {
-        let mut w: Vec<u64> = (0..sites.len())
-            .map(|i| weights.get(i).copied().unwrap_or(1).max(1))
+    /// A space over `sites`.
+    pub fn new(sites: Vec<TuneSite>) -> Self {
+        let tunable = (0..sites.len())
+            .filter(|&i| sites[i].candidates.len() >= 2)
             .collect();
-        // A site with a single candidate (only the baseline) is inert.
-        for (i, s) in sites.iter().enumerate() {
-            if s.candidates.len() < 2 {
-                w[i] = 0;
-            }
-        }
-        let mut cum = Vec::with_capacity(w.len());
-        let mut acc = 0u64;
-        for &x in &w {
-            acc += x;
-            cum.push(acc);
-        }
-        SearchSpace {
-            sites,
-            weights: w,
-            cum,
-        }
+        SearchSpace { sites, tunable }
     }
 
     /// The tuning sites.
@@ -136,9 +114,10 @@ impl SearchSpace {
         &self.sites
     }
 
-    /// The mutation prior, parallel to [`SearchSpace::sites`].
-    pub fn weights(&self) -> &[u64] {
-        &self.weights
+    /// Indices (into [`SearchSpace::sites`]) of the sites the search can
+    /// move — those with at least two candidates — in site order.
+    pub(crate) fn tunable(&self) -> &[usize] {
+        &self.tunable
     }
 
     /// Number of sites.
@@ -148,7 +127,7 @@ impl SearchSpace {
 
     /// `true` when the graph exposes no tunable site.
     pub fn is_empty(&self) -> bool {
-        self.sites.is_empty() || self.cum.last().copied().unwrap_or(0) == 0
+        self.tunable.is_empty()
     }
 
     /// log₂ of the number of points in the space (the product of per-site
@@ -160,22 +139,15 @@ impl SearchSpace {
             .sum()
     }
 
-    /// A weighted site pick from the mutation prior.
-    fn pick_site(&self, rng: &mut SplitMix64) -> usize {
-        let total = self.cum.last().copied().unwrap_or(0);
-        debug_assert!(total > 0, "pick_site on an empty space");
-        let r = rng.next_u64() % total;
-        self.cum.partition_point(|&c| c <= r)
-    }
-
     /// A random candidate: each site independently keeps its baseline
     /// (2-in-3) or takes a uniformly random alternative.
     pub fn random(&self, rng: &mut SplitMix64) -> Candidate {
         let mut choices = BTreeMap::new();
-        for (s, &w) in self.sites.iter().zip(&self.weights) {
-            if w == 0 || !rng.next_u64().is_multiple_of(3) {
+        for &i in &self.tunable {
+            if !rng.next_u64().is_multiple_of(3) {
                 continue;
             }
+            let s = &self.sites[i];
             let c = s.candidates[below(rng, s.candidates.len())];
             if c != s.baseline {
                 choices.insert(s.key, c);
@@ -193,20 +165,19 @@ impl SearchSpace {
         Candidate::new(choices)
     }
 
-    /// A point mutation of `parent`: one prior-weighted site flips to a
-    /// different candidate (or, 1-in-4 when overridden, back to its
-    /// baseline).
+    /// A point mutation of `parent`: one uniformly drawn tunable site
+    /// flips to a different candidate (or, 1-in-4 when overridden, back
+    /// to its baseline).
     pub fn mutate(&self, parent: &Candidate, rng: &mut SplitMix64) -> Candidate {
         let mut choices = parent.choices.clone();
-        let site = &self.sites[self.pick_site(rng)];
+        let site = &self.sites[self.tunable[below(rng, self.tunable.len())]];
         let current = choices.get(&site.key).copied();
         if current.is_some() && rng.next_u64().is_multiple_of(4) {
             choices.remove(&site.key);
             return Candidate::new(choices);
         }
         let effective = current.unwrap_or(site.baseline);
-        // Up to a handful of redraws to land on a different choice; a
-        // site with one candidate leaves the parent unchanged.
+        // Up to a handful of redraws to land on a different choice.
         for _ in 0..4 {
             let c = site.candidates[below(rng, site.candidates.len())];
             if c != effective {
@@ -261,26 +232,29 @@ mod tests {
             baseline: cands[0],
             candidates: cands,
         };
-        SearchSpace::new(
-            vec![
-                site(
-                    1,
-                    vec![
-                        TileChoice::Permute { rows: 128 },
-                        TileChoice::Permute { rows: 256 },
-                        TileChoice::Permute { rows: 64 },
-                    ],
-                ),
-                site(
-                    2,
-                    vec![
-                        TileChoice::GemmTile { m_rows: 512 },
-                        TileChoice::GemmTile { m_rows: 256 },
-                    ],
-                ),
-            ],
-            vec![1, 100],
-        )
+        SearchSpace::new(vec![
+            site(
+                1,
+                vec![
+                    TileChoice::Permute { rows: 128 },
+                    TileChoice::Permute { rows: 256 },
+                    TileChoice::Permute { rows: 64 },
+                ],
+            ),
+            site(
+                2,
+                vec![
+                    TileChoice::GemmTile { m_rows: 512 },
+                    TileChoice::GemmTile { m_rows: 256 },
+                ],
+            ),
+            // Inert (one candidate). Its baseline differs from that
+            // candidate, so a mutation that drew it would show.
+            TuneSite {
+                baseline: TileChoice::Permute { rows: 32 },
+                ..site(3, vec![TileChoice::Permute { rows: 16 }])
+            },
+        ])
     }
 
     #[test]
@@ -322,16 +296,23 @@ mod tests {
     }
 
     #[test]
-    fn mutation_prior_prefers_heavy_sites() {
+    fn mutation_reaches_every_tunable_site_and_no_inert_one() {
         let space = toy_space();
+        assert_eq!(space.tunable(), &[0, 1]);
         let mut rng = SplitMix64::new(3);
-        let mut heavy = 0usize;
+        let mut touched = BTreeMap::new();
         for _ in 0..200 {
             let m = space.mutate(&Candidate::baseline(), &mut rng);
-            if m.choices().contains_key(&2) {
-                heavy += 1;
+            for &k in m.choices().keys() {
+                *touched.entry(k).or_insert(0usize) += 1;
             }
         }
-        assert!(heavy > 150, "weight-100 site mutated only {heavy}/200");
+        assert!(!touched.contains_key(&3), "single-candidate site mutated");
+        for k in [1, 2] {
+            assert!(
+                touched.get(&k).is_some_and(|&n| n > 0),
+                "site {k}: {touched:?}"
+            );
+        }
     }
 }

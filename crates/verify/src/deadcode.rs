@@ -2,9 +2,8 @@
 //! before anything reads them, and IMM BUF writes whose value is
 //! replaced or dropped without ever being consumed. Both are
 //! [`crate::Severity::Warning`] optimization hints — the program is
-//! correct, it just moves words for nothing — surfaced with an
-//! estimated wasted-word count so the autotuner can rank candidate
-//! schedules by useless traffic.
+//! correct, it just moves words for nothing — and the message estimates
+//! the words moved.
 //!
 //! The pass rides the shared [`Walker`] and tracks, per namespace, the
 //! set of rows whose most recent write has not been read yet, using the
@@ -12,21 +11,23 @@
 //! would close over the gaps of a strided store and mis-flag the rows
 //! in between). Soundness of the *lint* direction: a store is only
 //! called dead when a later store provably covers the row with no
-//! possible intervening read — rows a nest reads are cleared both
-//! before its writes (an earlier nest's store it consumes) and after
-//! them (a same-nest store consumed by the same or a later iteration),
-//! a stream too wide to materialize ([`RowSet::MAX_WINDOW`])
-//! degrades to a namespace barrier, and `TILE_LD_ST` / `PERMUTE START`
-//! (whose data effects this pass does not model) clear all pending
-//! state. Rows still pending at the end of the program are *live-out* —
-//! the Data Access Engine stores result tiles after the program ends —
-//! and are never reported.
+//! possible intervening read. Rows a nest reads are cleared before its
+//! writes (an earlier nest's store it consumes). Within one nest, row
+//! sets are unions over iterations, so whether a read falls between two
+//! stores cannot be decided: a store to a row the body reads anywhere
+//! (or in a namespace the body reads without a known footprint) is
+//! neither charged as a kill nor left pending. A stream too wide to
+//! materialize ([`RowSet::MAX_WINDOW`]) degrades to a namespace
+//! barrier, and `TILE_LD_ST` / `PERMUTE START` (whose data effects this
+//! pass does not model) clear all pending state. Rows still pending at
+//! the end of the program are *live-out* — the Data Access Engine
+//! stores result tiles after the program ends — and are never reported.
 
 use crate::analysis::{Pass, PassStat, Visitor, Walker};
 use crate::diag::{Diagnostic, Rule};
 use crate::VerifyConfig;
 use std::collections::BTreeMap;
-use tandem_isa::{Instruction, Namespace, Program, IMM_BUF_SLOTS};
+use tandem_isa::{Instruction, Namespace, Operand, Program, IMM_BUF_SLOTS};
 
 /// The dead-store / redundant-IMM-traffic lint pass.
 pub(crate) struct DeadTrafficPass;
@@ -46,6 +47,9 @@ impl Pass for DeadTrafficPass {
         let mut v = DeadTrafficVisitor {
             cfg,
             pending: TRACKED.map(|ns| vec![0; cfg.rows(ns)]),
+            read_stamp: TRACKED.map(|ns| vec![0; cfg.rows(ns)]),
+            stamp: 0,
+            read_barrier: [false; 3],
             dead: BTreeMap::new(),
             imm: [ImmSlot::default(); IMM_BUF_SLOTS],
             diags,
@@ -79,6 +83,16 @@ struct DeadTrafficVisitor<'a> {
     /// it runs over every row of every nest and dominated verify wall
     /// time as a `BTreeMap`.
     pending: [Vec<u32>; 3],
+    /// Per tracked namespace, one cell per row: the [`Self::stamp`] of
+    /// the last nest that read the row. A stamp instead of a per-nest row
+    /// list keeps the nest loop free of allocation.
+    read_stamp: [Vec<u32>; 3],
+    /// The current nest's stamp, counting from 1 (0 marks a row no nest
+    /// has read).
+    stamp: u32,
+    /// Per tracked namespace: the current nest reads rows it cannot
+    /// enumerate, so every row counts as read.
+    read_barrier: [bool; 3],
     /// Store pc → (namespace, rows killed before any read).
     dead: BTreeMap<usize, (Namespace, u64)>,
     imm: [ImmSlot; IMM_BUF_SLOTS],
@@ -106,6 +120,45 @@ impl DeadTrafficVisitor<'_> {
         }
     }
 
+    /// Starts a nest: a fresh read stamp and no read barrier. A program
+    /// has at most one nest per instruction, and its pcs fit a `u32`
+    /// (see `pending`), so the stamp never wraps.
+    fn begin_nest(&mut self) {
+        self.stamp += 1;
+        self.read_barrier = [false; 3];
+    }
+
+    /// `row` of tracked namespace `idx` as a cell index, if in range.
+    fn row_index(&self, idx: usize, row: i64) -> Option<usize> {
+        usize::try_from(row)
+            .ok()
+            .filter(|&r| r < self.pending[idx].len())
+    }
+
+    /// Phase 1 of a nest: operand `op` (in `slot`) reads every row its
+    /// stream can touch, consuming any pending store there.
+    fn read(&mut self, walker: &Walker, op: Operand, slot: usize) {
+        let Some(idx) = tracked_index(op.namespace()) else {
+            return;
+        };
+        let (stream, _notes) = walker.stream(op, slot);
+        match stream.and_then(|s| s.row_set(walker.levels())) {
+            Some(rows) => {
+                for row in rows.rows() {
+                    if let Some(r) = self.row_index(idx, row) {
+                        self.pending[idx][r] = 0;
+                        self.read_stamp[idx][r] = self.stamp;
+                    }
+                }
+            }
+            // Unknown footprint: could read anything in the namespace.
+            None => {
+                self.pending[idx].fill(0);
+                self.read_barrier[idx] = true;
+            }
+        }
+    }
+
     fn imm_read(&mut self, slot: usize) {
         if let Some(s) = self.imm.get_mut(slot) {
             s.read_since = true;
@@ -117,7 +170,7 @@ impl DeadTrafficVisitor<'_> {
     fn finish(&mut self) {
         let lanes = self.cfg.lanes as u64;
         for (&pc, &(ns, rows)) in &self.dead {
-            self.diags.push(Diagnostic::with_wasted(
+            self.diags.push(Diagnostic::new(
                 pc,
                 Rule::DeadStore,
                 format!(
@@ -125,20 +178,18 @@ impl DeadTrafficVisitor<'_> {
                      anything reads them — ~{} wasted words of scratchpad traffic",
                     rows * lanes
                 ),
-                rows * lanes,
             ));
         }
         for (slot, s) in self.imm.iter().enumerate() {
             if let Some(pc) = s.written_at {
                 if !s.read_since {
-                    self.diags.push(Diagnostic::with_wasted(
+                    self.diags.push(Diagnostic::new(
                         pc,
                         Rule::RedundantImmWrite,
                         format!(
                             "IMM BUF slot {slot} is written here but no compute \
                              instruction ever reads the value — wasted IMM traffic"
                         ),
-                        1,
                     ));
                 }
             }
@@ -148,17 +199,12 @@ impl DeadTrafficVisitor<'_> {
 
 impl Visitor for DeadTrafficVisitor<'_> {
     fn nest(&mut self, walker: &Walker, body_start: usize, body: &[Instruction]) {
-        let levels = walker.levels();
+        self.begin_nest();
         // Phase 1 — reads. Applied before the nest's writes: any row a
         // source stream can touch counts as consumed, which is the
         // conservative direction for a lint (never flags a store some
         // iteration interleaving might still read). The rows are also
-        // remembered so phase 3 can re-clear them *after* the nest's
-        // writes: a store in this body whose row the body also reads is
-        // consumed by the same iteration (read after the store) or the
-        // next one (read before it) and must never be left pending.
-        let mut read_rows: Vec<(usize, usize)> = Vec::new();
-        let mut read_barrier = [false; 3];
+        // stamped as read by this nest for phase 2.
         for instr in body {
             let Some((src1, src2)) = instr.sources() else {
                 continue;
@@ -167,58 +213,24 @@ impl Visitor for DeadTrafficVisitor<'_> {
                 let Some(src) = src else { continue };
                 if src.namespace() == Namespace::Imm {
                     self.imm_read(src.index() as usize);
-                    continue;
-                }
-                let Some(idx) = tracked_index(src.namespace()) else {
-                    continue;
-                };
-                let (stream, _notes) = walker.stream(src, slot);
-                match stream.and_then(|s| s.row_set(levels)) {
-                    Some(rows) => {
-                        for row in rows.rows() {
-                            if let Ok(r) = usize::try_from(row) {
-                                if let Some(cell) = self.pending[idx].get_mut(r) {
-                                    *cell = 0;
-                                    read_rows.push((idx, r));
-                                }
-                            }
-                        }
-                    }
-                    // Unknown footprint: could read anything in the
-                    // namespace.
-                    None => {
-                        self.barrier_ns(src.namespace());
-                        read_barrier[idx] = true;
-                    }
+                } else {
+                    self.read(walker, src, slot);
                 }
             }
             // Read-modify-write functions consume their destination too.
             if instr.reads_destination() {
                 if let Some(dst) = instr.destination() {
-                    if let Some(idx) = tracked_index(dst.namespace()) {
-                        let (stream, _notes) = walker.stream(dst, 0);
-                        match stream.and_then(|s| s.row_set(levels)) {
-                            Some(rows) => {
-                                for row in rows.rows() {
-                                    if let Ok(r) = usize::try_from(row) {
-                                        if let Some(cell) = self.pending[idx].get_mut(r) {
-                                            *cell = 0;
-                                            read_rows.push((idx, r));
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                self.barrier_ns(dst.namespace());
-                                read_barrier[idx] = true;
-                            }
-                        }
-                    }
+                    self.read(walker, dst, 0);
                 }
             }
         }
-        // Phase 2 — writes. A row already pending from an *earlier*
-        // store is killed: that store's value is provably never read.
+        // Phase 2 — writes. A row pending from an earlier store is
+        // killed: that store's value is provably never read. Row sets
+        // are unions over iterations, so whether a read of the body falls
+        // *between* two stores of the same nest cannot be decided; a row
+        // the body reads anywhere is therefore never charged and never
+        // left pending (the read consumes the store in this iteration or
+        // the next).
         for (i, instr) in body.iter().enumerate() {
             let pc = body_start + i;
             let Some(dst) = instr.destination() else {
@@ -228,43 +240,30 @@ impl Visitor for DeadTrafficVisitor<'_> {
                 continue;
             };
             let (stream, _notes) = walker.stream(dst, 0);
-            match stream.and_then(|s| s.row_set(levels)) {
-                Some(rows) => {
-                    let marker = pc as u32 + 1;
-                    for row in rows.rows() {
-                        // Out-of-range rows are the bounds checker's
-                        // finding, not traffic.
-                        let Some(cell) = usize::try_from(row)
-                            .ok()
-                            .and_then(|r| self.pending[idx].get_mut(r))
-                        else {
-                            continue;
-                        };
-                        let prev = std::mem::replace(cell, marker);
-                        if prev != 0 && prev != marker {
-                            let e = self
-                                .dead
-                                .entry(prev as usize - 1)
-                                .or_insert((dst.namespace(), 0));
-                            e.1 += 1;
-                        }
-                    }
-                }
+            let Some(rows) = stream.and_then(|s| s.row_set(walker.levels())) else {
                 // Unknown footprint: this store may cover anything, but
                 // nothing is *provably* dead — drop all pending state.
-                None => self.barrier_ns(dst.namespace()),
-            }
-        }
-        // Phase 3 — rows the body reads never stay pending: a same-nest
-        // store to such a row is (or may be, across iterations) consumed
-        // by that read. Store-over-store kills inside the nest were
-        // already charged in phase 2.
-        for &(idx, row) in &read_rows {
-            self.pending[idx][row] = 0;
-        }
-        for (idx, &b) in read_barrier.iter().enumerate() {
-            if b {
-                self.pending[idx].fill(0);
+                self.barrier_ns(dst.namespace());
+                continue;
+            };
+            let marker = pc as u32 + 1;
+            for row in rows.rows() {
+                // Out-of-range rows are the bounds checker's finding,
+                // not traffic.
+                let Some(r) = self.row_index(idx, row) else {
+                    continue;
+                };
+                if self.read_barrier[idx] || self.read_stamp[idx][r] == self.stamp {
+                    continue;
+                }
+                let prev = std::mem::replace(&mut self.pending[idx][r], marker);
+                if prev != 0 && prev != marker {
+                    let e = self
+                        .dead
+                        .entry(prev as usize - 1)
+                        .or_insert((dst.namespace(), 0));
+                    e.1 += 1;
+                }
             }
         }
     }
@@ -278,14 +277,13 @@ impl Visitor for DeadTrafficVisitor<'_> {
             // value was never read, the earlier write was redundant.
             if let Some(prev) = s.written_at {
                 if !s.read_since {
-                    self.diags.push(Diagnostic::with_wasted(
+                    self.diags.push(Diagnostic::new(
                         prev,
                         Rule::RedundantImmWrite,
                         format!(
                             "IMM BUF slot {slot} is rewritten at pc {pc} before any \
                              compute instruction reads this value — the write is dead"
                         ),
-                        1,
                     ));
                 }
             }

@@ -79,7 +79,7 @@ pub enum Rule {
     /// loop level that advances the sources but never consumes the
     /// destination — all but the last iteration's results are lost.
     WriteAfterWrite,
-    // --- dead traffic (optimization lints for the autotuner) ---
+    // --- dead traffic (optimization lints) ---
     /// A scratchpad store whose rows are overwritten by a later store
     /// before anything reads them — wasted write traffic.
     DeadStore,
@@ -216,12 +216,6 @@ pub struct Diagnostic {
     pub rule: Rule,
     /// Human-readable explanation with the concrete values involved.
     pub message: String,
-    /// For dead-traffic lints: the estimated number of scratchpad/IMM
-    /// words moved for nothing. Structured (not just embedded in the
-    /// message) so the `tandem-tune` mutation prior can rank sites by
-    /// wasted traffic without parsing strings. `None` for rules that do
-    /// not estimate traffic.
-    pub wasted_words: Option<u64>,
 }
 
 impl Diagnostic {
@@ -230,22 +224,6 @@ impl Diagnostic {
             pc,
             rule,
             message: message.into(),
-            wasted_words: None,
-        }
-    }
-
-    /// [`Diagnostic::new`] with a wasted-traffic estimate attached.
-    pub(crate) fn with_wasted(
-        pc: usize,
-        rule: Rule,
-        message: impl Into<String>,
-        wasted_words: u64,
-    ) -> Self {
-        Diagnostic {
-            pc,
-            rule,
-            message: message.into(),
-            wasted_words: Some(wasted_words),
         }
     }
 
@@ -288,13 +266,6 @@ impl VerifyReport {
         self.diagnostics
             .iter()
             .filter(|d| d.severity() == Severity::Error)
-    }
-
-    /// Total estimated dead traffic (words) across all findings that
-    /// carry a [`Diagnostic::wasted_words`] estimate — the signal the
-    /// autotuner's mutation prior weighs sites by.
-    pub fn wasted_words(&self) -> u64 {
-        self.diagnostics.iter().filter_map(|d| d.wasted_words).sum()
     }
 }
 

@@ -585,6 +585,139 @@ fn live_out_store_at_program_end_is_not_dead() {
     );
 }
 
+/// A one-level nest of `count` iterations whose every slot (dst, src1,
+/// src2) advances by one row per iteration through iterator `i1(15)`.
+fn row_loop(p: &mut Program, count: u16) {
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index: 15,
+        addr: 0,
+    });
+    p.push(Instruction::IterConfigStride {
+        ns: Namespace::Interim1,
+        index: 15,
+        stride: 1,
+    });
+    p.push(Instruction::LoopSetIter { loop_id: 0, count });
+    p.push(Instruction::LoopSetIndex {
+        bindings: LoopBindings {
+            dst: Some(i1(15)),
+            src1: Some(i1(15)),
+            src2: Some(i1(15)),
+        },
+    });
+}
+
+fn dead_stores(r: &VerifyReport) -> Vec<usize> {
+    r.diagnostics
+        .iter()
+        .filter(|d| d.rule == Rule::DeadStore)
+        .map(|d| d.pc)
+        .collect()
+}
+
+#[test]
+fn leaky_relu_read_modify_write_chain_has_no_dead_store() {
+    // LeakyRelu as one nest over 4 rows: n = min(x, 0); n *= alpha;
+    // n >>= q; y = max(x, 0); y += n. Every store but the last is read
+    // by the next instruction on the same rows, so none is dead.
+    let mut p = Program::new();
+    for (slot, value) in [(0, 0), (1, 13), (2, 4)] {
+        p.push(Instruction::ImmWriteLow { index: slot, value });
+    }
+    for (index, addr) in [(0, 0), (1, 16), (2, 32)] {
+        p.push(Instruction::IterConfigBase {
+            ns: Namespace::Interim1,
+            index,
+            addr,
+        });
+    }
+    row_loop(&mut p, 4);
+    let (x, n, y) = (i1(0), i1(1), i1(2));
+    p.push(Instruction::LoopSetNumInst {
+        loop_id: 0,
+        count: 5,
+    });
+    p.push(Instruction::alu(AluFunc::Min, n, x, imm(0)));
+    p.push(Instruction::alu(AluFunc::Mul, n, n, imm(1)));
+    p.push(Instruction::alu(AluFunc::Shr, n, n, imm(2)));
+    p.push(Instruction::alu(AluFunc::Max, y, x, imm(0)));
+    p.push(Instruction::alu(AluFunc::Add, y, y, n));
+    let r = verify(&p);
+    assert!(dead_stores(&r).is_empty(), "{r}");
+    assert!(r.is_clean(), "{r}");
+}
+
+#[test]
+fn same_nest_store_over_unread_store_is_dead() {
+    // One nest stores rows 16..19 twice and never reads them: the first
+    // store is dead on every iteration.
+    let mut p = Program::new();
+    p.push(Instruction::ImmWriteLow { index: 0, value: 1 });
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index: 1,
+        addr: 16,
+    });
+    row_loop(&mut p, 4); // pcs 2..=5
+    p.push(Instruction::LoopSetNumInst {
+        loop_id: 0,
+        count: 2,
+    }); // 6
+    p.push(Instruction::alu(AluFunc::Add, i1(1), imm(0), imm(0))); // 7: dead
+    p.push(Instruction::alu(AluFunc::Mul, i1(1), imm(0), imm(0))); // 8: live-out
+    let r = verify(&p);
+    assert_eq!(dead_stores(&r), vec![7], "{r}");
+    // 4 dead rows × 8 lanes on the tiny machine
+    assert!(
+        r.diagnostics
+            .iter()
+            .any(|d| d.message.contains("~32 wasted words")),
+        "{r}"
+    );
+}
+
+#[test]
+fn intra_nest_producer_consumer_store_is_not_dead() {
+    // Body: A stores row 5, B reads row 5 into row 9 — each iteration B
+    // consumes the value A just wrote, so A is NOT dead.
+    let mut p = Program::new();
+    p.push(Instruction::ImmWriteLow { index: 0, value: 1 }); // 0
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index: 0,
+        addr: 5,
+    }); // 1
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index: 1,
+        addr: 9,
+    }); // 2
+    p.push(Instruction::LoopSetIter {
+        loop_id: 0,
+        count: 2,
+    }); // 3
+    p.push(Instruction::LoopSetIndex {
+        bindings: LoopBindings {
+            dst: None,
+            src1: None,
+            src2: None,
+        },
+    }); // 4
+    p.push(Instruction::LoopSetNumInst {
+        loop_id: 0,
+        count: 2,
+    }); // 5
+    p.push(Instruction::alu(AluFunc::Add, i1(0), imm(0), imm(0))); // 6: store row 5
+    p.push(Instruction::alu(AluFunc::Add, i1(1), i1(0), imm(0))); // 7: read row 5
+    p.push(Instruction::alu(AluFunc::Add, i1(0), imm(0), imm(0))); // 8: overwrite row 5
+    let r = verify(&p);
+    assert!(
+        dead_stores(&r).is_empty(),
+        "store at pc 6 is read at pc 7 every iteration, yet:\n{r}"
+    );
+}
+
 #[test]
 fn imm_value_replaced_unread_is_redundant() {
     let mut p = Program::new();
