@@ -17,10 +17,10 @@
 //! tuning trajectories and golden fixtures stay byte-identical across
 //! runs, `--jobs` values and hosts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use tandem_model::{Graph, NodeId, OpClass};
+use tandem_model::{Graph, Node, NodeId, OpClass};
 
 /// One explicit compiler decision at a tuning site. Every variant maps to
 /// one operator family of [`crate::Tiler`]; the fields are exactly the
@@ -263,9 +263,6 @@ pub struct TuneSite {
     /// A representative node: lowering it under a choice shows what the
     /// choice does at every instance of the site.
     pub node: NodeId,
-    /// How many graph nodes share this signature — a proxy for how much
-    /// total runtime the site governs.
-    pub instances: u64,
     /// The hand-rolled heuristic's decision (the empty-schedule point).
     pub baseline: TileChoice,
     /// Legal alternatives, baseline included, deduplicated, in a
@@ -275,43 +272,42 @@ pub struct TuneSite {
 
 /// Enumerates the non-GEMM tuning sites of `graph` under `lowering`'s
 /// machine shape: one [`TuneSite`] per distinct choice-free signature, in
-/// first-appearance order. GEMM-side sites (tile pipelining granularity)
-/// are owned by `tandem-npu`, which knows the systolic geometry, and are
-/// merged there.
-pub fn enumerate_sites(lowering: &crate::OpLowering, graph: &Graph) -> Vec<TuneSite> {
+/// first-appearance order. `site_key` names a node's site — its
+/// [`crate::NodeSignature::site_key`], which a caller that already holds
+/// the signatures passes in rather than having them rebuilt. GEMM-side
+/// sites (tile pipelining granularity) are owned by `tandem-npu`, which
+/// knows the systolic geometry, and are merged there.
+pub fn enumerate_sites(
+    lowering: &crate::OpLowering,
+    graph: &Graph,
+    site_key: impl Fn(&Node) -> u64,
+) -> Vec<TuneSite> {
     let tiler = crate::Tiler::new(lowering.lanes(), lowering.interim_rows());
-    let mut order: Vec<u64> = Vec::new();
-    let mut sites: BTreeMap<u64, TuneSite> = BTreeMap::new();
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut sites: Vec<TuneSite> = Vec::new();
     for node in graph.nodes() {
         if node.kind.class() == OpClass::Gemm {
+            continue;
+        }
+        let key = site_key(node);
+        // The first node of a site represents it; later instances share
+        // its choices.
+        if seen.contains(&key) {
             continue;
         }
         let Some((baseline, candidates)) = tiler.choices(lowering, graph, node) else {
             continue;
         };
-        let key = crate::NodeSignature::for_lowering(lowering, graph, node).site_key();
-        match sites.get_mut(&key) {
-            Some(site) => site.instances += 1,
-            None => {
-                order.push(key);
-                sites.insert(
-                    key,
-                    TuneSite {
-                        key,
-                        name: node.name.clone(),
-                        node: node.id,
-                        instances: 1,
-                        baseline,
-                        candidates,
-                    },
-                );
-            }
-        }
+        seen.insert(key);
+        sites.push(TuneSite {
+            key,
+            name: node.name.clone(),
+            node: node.id,
+            baseline,
+            candidates,
+        });
     }
-    order
-        .into_iter()
-        .map(|k| sites.remove(&k).expect("site recorded at first sight"))
-        .collect()
+    sites
 }
 
 #[cfg(test)]

@@ -13,7 +13,10 @@
 //! predicates, i.e. compile and verify clean at widened mode.
 
 use std::collections::BTreeMap;
-use tandem_compiler::{enumerate_sites, schedule_graph_opts, CompileOptions, OpLowering, Schedule};
+use tandem_compiler::{
+    enumerate_sites, schedule_graph_opts, CompileOptions, NodeSignature, OpLowering, Schedule,
+    TuneSite,
+};
 use tandem_model::{Graph, GraphBuilder, Padding};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
@@ -134,6 +137,14 @@ fn mixed_graph() -> Graph {
     b.finish()
 }
 
+/// The non-GEMM tuning sites of `g`, each node's site key computed from
+/// its signature.
+fn sites_of(lowering: &OpLowering, g: &Graph) -> Vec<TuneSite> {
+    enumerate_sites(lowering, g, |node| {
+        NodeSignature::for_lowering(lowering, g, node).site_key()
+    })
+}
+
 /// Every candidate the tiler enumerates, pinned one site at a time, must
 /// compile and verify clean — the generalized `fits()` assertion over the
 /// whole per-site search space, on both the paper machine and the tiny
@@ -143,7 +154,7 @@ fn every_site_candidate_verifies_clean() {
     let g = mixed_graph();
     for (lanes, rows) in [(32usize, 512usize), (8, 64)] {
         let lowering = OpLowering::new(lanes, rows);
-        let sites = enumerate_sites(&lowering, &g);
+        let sites = sites_of(&lowering, &g);
         assert!(
             sites.len() >= 4,
             "expected several tuning sites on {lanes}×{rows}, got {}",
@@ -170,7 +181,7 @@ fn random_schedules_verify_clean() {
     let g = mixed_graph();
     for (lanes, rows) in [(32usize, 512usize), (8, 64)] {
         let lowering = OpLowering::new(lanes, rows);
-        let sites = enumerate_sites(&lowering, &g);
+        let sites = sites_of(&lowering, &g);
         let mut rng = SplitMix64(xtrial_seed(lanes as u64, rows as u64));
         for _ in 0..24 {
             let mut choices = BTreeMap::new();

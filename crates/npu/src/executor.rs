@@ -3,19 +3,20 @@
 
 use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
-use crate::memo::Memo;
+use crate::memo::{Interner, Memo};
 use crate::par::par_map;
+use crate::plan::{BlockPlan, GemmPlan, GraphPlan, NodePlan, SigId};
 use crate::report::{ExecStats, NpuReport, VerifySummary};
 use gemm_sim::{GemmConfig, GemmReport, GemmUnit, GemmWorkload};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 use tandem_compiler::{
-    enumerate_sites, prefetch_key, stable_hash, BlockKind, CompileError, CompiledOp,
-    ExecutionBlock, NodeSignature, OpLowering, Partitioner, Schedule, TileChoice, TuneSite,
+    enumerate_sites, prefetch_key, stable_hash, BlockKind, CompileError, CompiledOp, NodeSignature,
+    OpLowering, Schedule, TileChoice, TuneSite,
 };
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
-use tandem_model::{Graph, Node, NodeId, TensorId};
+use tandem_model::Graph;
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
@@ -105,12 +106,17 @@ impl Default for NpuConfig {
     }
 }
 
+/// Memoization key of a node's lowering and verify outcome: its interned
+/// choice-free signature plus the schedule choice pinned at its site —
+/// exactly the inputs of [`OpLowering::lower_node`].
+type NodeKey = (SigId, Option<TileChoice>);
+
 /// Memoization key of a node's (knob-adjusted) simulation report: the
-/// node's compile-level signature plus every executor setting that feeds
-/// into the report.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// node's [`NodeKey`] plus every executor setting that feeds into the
+/// report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SimKey {
-    sig: NodeSignature,
+    node: NodeKey,
     knobs: Despecialization,
     granularity: TileGranularity,
 }
@@ -148,19 +154,24 @@ struct NodeVerify {
 }
 
 /// The memoization state shared by every clone of an [`Npu`] (and by all
-/// [`Npu::run_many`] workers and [`Npu::sibling`]s): compiled lowerings,
-/// verify outcomes, per-node simulation reports, GEMM cycle-model reports
-/// and whole-graph reports.
+/// [`Npu::run_many`] workers and [`Npu::sibling`]s): the signature table
+/// [`GraphPlan`]s draw their ids from, compiled lowerings, verify
+/// outcomes, per-node simulation reports, GEMM cycle-model reports and
+/// whole-graph reports.
 ///
 /// Caching is sound because every cached value is a pure function of its
-/// key: lowering depends only on the [`NodeSignature`], performance-mode
-/// simulation produces identical [`RunReport`]s for the same program, the
-/// knob adjustments are deterministic arithmetic on that report, and the
-/// GEMM cycle model is closed-form in `(workload, tile)`.
+/// key: lowering depends only on the [`NodeSignature`] (named by its
+/// interned id) and the schedule choice, performance-mode simulation
+/// produces identical [`RunReport`]s for the same program, the knob
+/// adjustments are deterministic arithmetic on that report, and the GEMM
+/// cycle model is closed-form in `(workload, tile)`.
 #[derive(Debug)]
 struct NpuCaches {
-    compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
-    verify: Memo<NodeSignature, Arc<NodeVerify>>,
+    /// Interns signatures even in a disabled set: an id is a name, not a
+    /// cached result.
+    signatures: Arc<Interner<NodeSignature>>,
+    compile: Memo<NodeKey, Arc<Result<CompiledOp, CompileError>>>,
+    verify: Memo<NodeKey, Arc<NodeVerify>>,
     sim: Memo<SimKey, RunReport>,
     gemm: Memo<(GemmWorkload, u64), GemmReport>,
     graph: Memo<GraphKey, NpuReport>,
@@ -170,12 +181,34 @@ impl NpuCaches {
     /// An empty cache set; a disabled set memoizes nothing.
     fn new(enabled: bool) -> Arc<Self> {
         Arc::new(NpuCaches {
+            signatures: Arc::new(Interner::new()),
             compile: Memo::new(enabled),
             verify: Memo::new(enabled),
             sim: Memo::new(enabled),
             gemm: Memo::new(enabled),
             graph: Memo::new(enabled),
         })
+    }
+}
+
+/// The performance-mode processor and DRAM that node simulations run
+/// on, built on first use. One serves every node's programs (state is
+/// overwritten by each program's configuration section); a warm
+/// evaluation, whose nodes all hit the sim cache, never builds it.
+struct Machine<'a> {
+    cfg: &'a TandemConfig,
+    state: Option<(TandemProcessor, Dram)>,
+}
+
+impl Machine<'_> {
+    fn get(&mut self) -> (&mut TandemProcessor, &mut Dram) {
+        let (proc, dram) = self.state.get_or_insert_with(|| {
+            (
+                TandemProcessor::with_mode(self.cfg.clone(), Mode::Performance),
+                Dram::new(16),
+            )
+        });
+        (proc, dram)
     }
 }
 
@@ -255,24 +288,20 @@ impl Npu {
     ///
     /// A graph already run on this NPU (any clone, any `run_many` worker)
     /// is answered from the graph-level report cache in O(graph) hash
-    /// time; a new graph runs block-by-block against the node-level
-    /// caches.
+    /// time; a new graph is planned ([`Npu::plan`]) and evaluated
+    /// block-by-block against the node-level caches.
     pub fn run(&self, graph: &Graph) -> NpuReport {
-        let t0 = Instant::now();
-        let before = self.stats();
-        let key: GraphKey = (
-            graph.content_hash(),
-            graph.nodes().len(),
-            graph.tensors().len(),
-            self.cfg_digest,
-        );
-        let mut report = self
-            .caches
-            .graph
-            .get_or_compute(&key, || self.run_core(graph, &mut NullSink));
-        report.stats = self.stats().delta(&before);
-        report.stats.wall_s = t0.elapsed().as_secs_f64();
-        report
+        self.timed(|| {
+            let key: GraphKey = (
+                graph.content_hash(),
+                graph.nodes().len(),
+                graph.tensors().len(),
+                self.cfg_digest,
+            );
+            self.caches
+                .graph
+                .get_or_compute(&key, || self.evaluate(&self.plan(graph), &mut NullSink))
+        })
     }
 
     /// Runs `graph` while streaming a cycle-accurate timeline into `sink`:
@@ -283,9 +312,36 @@ impl Npu {
     /// determinism tests assert this), but the graph-level report cache is
     /// bypassed so a cached graph still produces its events.
     pub fn run_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
+        self.timed(|| self.evaluate(&self.plan(graph), sink))
+    }
+
+    /// The schedule-independent part of evaluating `graph` on this NPU's
+    /// cache hub, computed once: execution blocks, per-node interned
+    /// signatures and site keys, per-block Tandem DRAM traffic and GEMM
+    /// workloads. Valid for this NPU and every clone and sibling sharing
+    /// its caches, under any schedule, knobs and granularity.
+    pub fn plan<'g>(&self, graph: &'g Graph) -> GraphPlan<'g> {
+        GraphPlan::new(graph, &self.lowering, &self.gemm, &self.caches.signatures)
+    }
+
+    /// [`Npu::run`] of a planned graph, bypassing the graph-level report
+    /// cache: one walk over the plan with one schedule lookup and one
+    /// memo lookup per node. A search scoring many schedules against one
+    /// graph plans it once and calls this per candidate.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` was built on another cache hub.
+    pub fn run_plan(&self, plan: &GraphPlan) -> NpuReport {
+        self.timed(|| self.evaluate(plan, &mut NullSink))
+    }
+
+    /// `run` with the report's [`ExecStats`] filled in: this call's
+    /// cache-counter delta and wall time.
+    fn timed(&self, run: impl FnOnce() -> NpuReport) -> NpuReport {
         let t0 = Instant::now();
         let before = self.stats();
-        let mut report = self.run_core(graph, sink);
+        let mut report = run();
         report.stats = self.stats().delta(&before);
         report.stats.wall_s = t0.elapsed().as_secs_f64();
         report
@@ -355,37 +411,28 @@ impl Npu {
         members
     }
 
-    /// The whole-graph execution body behind the graph-level cache.
-    fn run_core(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
-        let blocks = Partitioner::new().partition(graph);
-        let consumers = graph.consumer_index();
+    /// The one executor walk behind every run: evaluates `plan` under
+    /// this NPU's schedule, knobs and granularity.
+    fn evaluate(&self, plan: &GraphPlan, sink: &mut dyn TraceSink) -> NpuReport {
+        self.check_plan(plan);
         let mut report = NpuReport {
             gemm_mac_slots: (self.cfg.gemm.rows * self.cfg.gemm.cols) as u64,
             tandem_lanes: self.cfg.tandem.lanes as u64,
             freq_ghz: self.cfg.tandem.freq_ghz,
             ..Default::default()
         };
-        // One performance-mode processor serves every node's programs
-        // (state is overwritten by each program's configuration section).
-        let mut proc = TandemProcessor::with_mode(self.cfg.tandem.clone(), Mode::Performance);
-        let mut dram = Dram::new(16);
+        let mut machine = Machine {
+            cfg: &self.cfg.tandem,
+            state: None,
+        };
         // Trailing idle window of the previous block's GEMM DRAM channel:
         // the budget a schedule-enabled weight prefetch may hide in.
         let mut exposed = 0u64;
         if self.cfg.verify {
-            report.verify = self.verify(graph);
+            report.verify = self.verify_plan(plan);
         }
-        for block in &blocks {
-            self.run_block(
-                graph,
-                block,
-                &consumers,
-                &mut proc,
-                &mut dram,
-                &mut report,
-                sink,
-                &mut exposed,
-            );
+        for block in &plan.blocks {
+            self.run_block(plan, block, &mut machine, &mut report, sink, &mut exposed);
         }
         let energy_model = EnergyModel::paper(self.cfg.tandem.lanes);
         report.tandem_energy = energy_model.energy(&report.counters);
@@ -404,55 +451,68 @@ impl Npu {
 
     /// Widened `tandem-verify` over the tile programs of every non-GEMM
     /// node of `graph`, folded in block and node order: what a run with
-    /// [`NpuConfig::verify`] on reports, and the autotuner's gate. Each
-    /// node's outcome is memoized on its [`NodeSignature`], so a sibling
-    /// under a new schedule verifies only the nodes the schedule changes.
-    /// A lowering failure other than [`CompileError::Unsupported`] (GEMM
-    /// operators) counts as an error.
+    /// [`NpuConfig::verify`] on reports, and the autotuner's gate.
     pub fn verify(&self, graph: &Graph) -> VerifySummary {
+        self.verify_plan(&self.plan(graph))
+    }
+
+    /// [`Npu::verify`] of a planned graph. Each node's outcome is memoized
+    /// on its interned signature and schedule choice, so a sibling under a
+    /// new schedule verifies only the nodes the schedule changes. A lowering failure other than
+    /// [`CompileError::Unsupported`] (GEMM operators) counts as an error.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` was built on another cache hub.
+    pub fn verify_plan(&self, plan: &GraphPlan) -> VerifySummary {
+        self.check_plan(plan);
         let mut summary = VerifySummary::default();
-        for block in &Partitioner::new().partition(graph) {
-            for &id in &block.non_gemm {
-                let node = graph.node(id);
-                let outcome = self.node_verify_outcome(graph, node);
-                summary.programs += outcome.programs;
-                summary.errors += outcome.errors;
+        for node in plan.blocks.iter().flat_map(|b| &b.nodes) {
+            let outcome = self.node_verify_outcome(plan.graph, node);
+            summary.programs += outcome.programs;
+            summary.errors += outcome.errors;
+            if !outcome.diagnostics.is_empty() {
+                let name = &plan.graph.node(node.id).name;
                 let named = outcome.diagnostics.iter();
                 summary
                     .diagnostics
-                    .extend(named.map(|d| format!("{}: {d}", node.name)));
+                    .extend(named.map(|d| format!("{name}: {d}")));
             }
         }
         summary
     }
 
-    /// The signature of `node` under this NPU's lowering: computed once
-    /// per node visit, it keys the compile, verify and sim caches, and its
-    /// [`NodeSignature::site_key`] names the node's tuning site.
-    fn signature(&self, graph: &Graph, node: &Node) -> NodeSignature {
-        NodeSignature::for_lowering(&self.lowering, graph, node)
+    /// Asserts that `plan`'s signature ids name entries of this NPU's
+    /// table — that it was built on this cache hub.
+    fn check_plan(&self, plan: &GraphPlan) {
+        assert!(
+            Arc::ptr_eq(&plan.signatures, &self.caches.signatures),
+            "a graph plan is evaluated only on the cache hub that built it"
+        );
     }
 
-    /// [`OpLowering::lower_node`] of `node`, whose signature is `sig`,
-    /// through the compile cache.
-    fn lower(
-        &self,
-        sig: &NodeSignature,
-        graph: &Graph,
-        node: &Node,
-    ) -> Arc<Result<CompiledOp, CompileError>> {
+    /// The compile/verify memo key of a planned node under this NPU's
+    /// schedule.
+    fn node_key(&self, node: &NodePlan) -> NodeKey {
+        (node.sig, self.cfg.schedule.get(node.site))
+    }
+
+    /// [`OpLowering::lower_node`] of the planned `node`, through the
+    /// compile cache.
+    fn lower(&self, graph: &Graph, node: &NodePlan) -> Arc<Result<CompiledOp, CompileError>> {
         self.caches
             .compile
-            .get_or_compute(sig, || Arc::new(self.lowering.lower_node(graph, node)))
+            .get_or_compute(&self.node_key(node), || {
+                Arc::new(self.lowering.lower_node(graph, graph.node(node.id)))
+            })
     }
 
-    /// The per-node body of [`Npu::verify`], memoized on the node's
-    /// [`NodeSignature`].
-    fn node_verify_outcome(&self, graph: &Graph, node: &Node) -> Arc<NodeVerify> {
-        let sig = self.signature(graph, node);
-        self.caches.verify.get_or_compute(&sig, || {
+    /// The per-node body of [`Npu::verify_plan`], memoized on the node's
+    /// [`NodeKey`].
+    fn node_verify_outcome(&self, graph: &Graph, node: &NodePlan) -> Arc<NodeVerify> {
+        self.caches.verify.get_or_compute(&self.node_key(node), || {
             let mut out = NodeVerify::default();
-            match self.lower(&sig, graph, node).as_ref() {
+            match self.lower(graph, node).as_ref() {
                 Ok(c) => {
                     let verifier = Verifier::new(
                         VerifyConfig::from(&self.cfg.tandem).with_mode(VerifyMode::Widened),
@@ -477,24 +537,24 @@ impl Npu {
 
     /// Simulates one non-GEMM node's compiled programs in performance
     /// mode, returning its (knob-adjusted) aggregate report. Memoized on
-    /// the node's [`NodeSignature`] plus the executor knobs.
+    /// the node's [`NodeKey`] plus the executor knobs.
     fn tandem_node_report(
         &self,
         graph: &Graph,
-        node: &Node,
-        proc: &mut TandemProcessor,
-        dram: &mut Dram,
+        node: &NodePlan,
+        machine: &mut Machine,
     ) -> RunReport {
         let key = SimKey {
-            sig: self.signature(graph, node),
+            node: self.node_key(node),
             knobs: self.cfg.knobs,
             granularity: self.cfg.granularity,
         };
         self.caches.sim.get_or_compute(&key, || {
-            let compiled = self.lower(&key.sig, graph, node);
+            let compiled = self.lower(graph, node);
             let Ok(compiled) = compiled.as_ref() else {
                 return RunReport::default(); // metadata-only ops
             };
+            let (proc, dram) = machine.get();
             let mut total = RunReport::default();
             for (prog, reps) in &compiled.tiles {
                 let one = proc
@@ -554,61 +614,28 @@ impl Npu {
         r
     }
 
-    /// GEMM workload of a GEMM-class node.
-    fn gemm_workload(&self, graph: &Graph, node: &Node) -> GemmWorkload {
-        use tandem_model::OpKind::*;
-        match node.kind {
-            Conv => {
-                let out = &graph.tensor(node.outputs[0]).shape;
-                let cin = graph.tensor(node.inputs[0]).shape.dim(1);
-                GemmWorkload::from_conv(
-                    out.dim(2) as u64,
-                    out.dim(3) as u64,
-                    cin as u64,
-                    out.dim(1) as u64,
-                    node.attrs.kernel as u64,
-                )
-            }
-            MatMul => {
-                let out = &graph.tensor(node.outputs[0]).shape;
-                let k = graph.tensor(node.inputs[0]).shape.dim(-1) as u64;
-                let n = out.dim(-1) as u64;
-                let m = out.elements() as u64 / n;
-                GemmWorkload::new(m, k, n)
-            }
-            Gemm => {
-                let out = &graph.tensor(node.outputs[0]).shape;
-                let k = graph.tensor(node.inputs[0]).shape.dim(-1) as u64;
-                GemmWorkload::new(out.dim(0) as u64, k, out.dim(-1) as u64)
-            }
-            other => unreachable!("{other} is not a GEMM operator"),
-        }
-    }
-
-    /// The schedule's [`TileChoice::GemmTile`] override pinned at
-    /// `node`'s tuning site, if any — the raw m-rows before clamping to
-    /// the accumulator capacity.
-    fn gemm_tile_override(&self, graph: &Graph, node: &Node) -> Option<u64> {
+    /// The schedule's [`TileChoice::GemmTile`] override pinned at the
+    /// GEMM node's tuning site, if any — the raw m-rows before clamping
+    /// to the accumulator capacity.
+    fn gemm_tile_override(&self, plan: &GraphPlan, gemm: &GemmPlan) -> Option<u64> {
         if self.cfg.schedule.is_empty() {
             return None;
         }
-        let key = self.signature(graph, node).site_key();
-        match self.cfg.schedule.get(key) {
+        match self.cfg.schedule.get(plan.gemm_site(gemm)) {
             Some(TileChoice::GemmTile { m_rows }) => Some(m_rows as u64),
             _ => None,
         }
     }
 
     /// `true` when the schedule turns on cross-block weight prefetch for
-    /// `node` (a [`TileChoice::Prefetch`] pinned at the node's
+    /// the GEMM node (a [`TileChoice::Prefetch`] pinned at the node's
     /// [`prefetch_key`] site).
-    fn prefetch_enabled(&self, graph: &Graph, node: &Node) -> bool {
+    fn prefetch_enabled(&self, plan: &GraphPlan, gemm: &GemmPlan) -> bool {
         if self.cfg.schedule.is_empty() {
             return false;
         }
-        let key = self.signature(graph, node).site_key();
         matches!(
-            self.cfg.schedule.get(prefetch_key(key)),
+            self.cfg.schedule.get(prefetch_key(plan.gemm_site(gemm))),
             Some(TileChoice::Prefetch { on: true })
         )
     }
@@ -622,23 +649,24 @@ impl Npu {
     /// schedule this NPU currently runs under.
     pub fn tune_sites(&self, graph: &Graph) -> Vec<TuneSite> {
         use std::collections::BTreeSet;
-        let mut sites = enumerate_sites(&self.lowering, graph);
-        let mut index: HashMap<u64, usize> =
-            sites.iter().enumerate().map(|(i, s)| (s.key, i)).collect();
-        for node in graph.nodes() {
-            if node.kind.class() != tandem_model::OpClass::Gemm {
+        let plan = self.plan(graph);
+        let mut site_of = vec![0u64; graph.nodes().len()];
+        for node in plan.blocks.iter().flat_map(|b| &b.nodes) {
+            site_of[node.id.index()] = node.site;
+        }
+        let mut sites = enumerate_sites(&self.lowering, graph, |node| site_of[node.id.index()]);
+        let mut seen: HashSet<u64> = sites.iter().map(|s| s.key).collect();
+        // The partition keeps execution order, so this is node order.
+        let gemms = || plan.blocks.iter().filter_map(|b| b.gemm.as_ref());
+        for g in gemms() {
+            let key = plan.gemm_site(g);
+            if seen.contains(&key) {
                 continue;
             }
-            let key = self.signature(graph, node).site_key();
-            if let Some(&i) = index.get(&key) {
-                sites[i].instances += 1;
-                continue;
-            }
-            let w = self.gemm_workload(graph, node);
             // The hand-rolled executor always takes the largest tile the
             // accumulator holds; the candidates walk down from it and add
             // the largest *exact divisor* of M (no ragged last tile).
-            let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
+            let (w, cap) = (g.workload, g.cap);
             let baseline = TileChoice::GemmTile { m_rows: cap as u32 };
             let mut set = BTreeSet::from([baseline]);
             for c in [cap / 2, cap / 4, cap / 8, largest_divisor_le(w.m, cap)] {
@@ -649,12 +677,11 @@ impl Npu {
             if set.len() < 2 {
                 continue;
             }
-            index.insert(key, sites.len());
+            seen.insert(key);
             sites.push(TuneSite {
                 key,
-                name: node.name.clone(),
-                node: node.id,
-                instances: 1,
+                name: graph.node(g.id).name.clone(),
+                node: g.id,
                 baseline,
                 candidates: set.into_iter().collect(),
             });
@@ -663,29 +690,22 @@ impl Npu {
         // GEMM signature whose weight matrix actually appears in the
         // first-tile fill (resident-and-tiled weights are already
         // amortized, so prefetch would be a no-op there).
-        for node in graph.nodes() {
-            if node.kind.class() != tandem_model::OpClass::Gemm {
+        for g in gemms() {
+            let pkey = prefetch_key(plan.gemm_site(g));
+            if seen.contains(&pkey) {
                 continue;
             }
-            let key = self.signature(graph, node).site_key();
-            let pkey = prefetch_key(key);
-            if let Some(&i) = index.get(&pkey) {
-                sites[i].instances += 1;
-                continue;
-            }
-            let w = self.gemm_workload(graph, node);
-            let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
+            let (w, cap) = (g.workload, g.cap);
             let weight_bytes = w.k * w.n;
             let resident = weight_bytes <= (self.gemm.config().scratchpad_bytes / 2) as u64;
             if resident && cap < w.m {
                 continue;
             }
-            index.insert(pkey, sites.len());
+            seen.insert(pkey);
             sites.push(TuneSite {
                 key: pkey,
-                name: format!("{}+prefetch", node.name),
-                node: node.id,
-                instances: 1,
+                name: format!("{}+prefetch", graph.node(g.id).name),
+                node: g.id,
                 baseline: TileChoice::Prefetch { on: false },
                 candidates: vec![
                     TileChoice::Prefetch { on: false },
@@ -696,58 +716,11 @@ impl Npu {
         sites
     }
 
-    /// DRAM traffic of the Tandem side for a block: activations entering
-    /// from outside the block (except the GEMM output, which arrives via
-    /// the Output BUF) and activations leaving it (INT32 words).
-    /// `consumers` is the whole-graph [`Graph::consumer_index`].
-    fn block_tandem_dram_bytes(
-        &self,
-        graph: &Graph,
-        block: &ExecutionBlock,
-        consumers: &[Vec<NodeId>],
-    ) -> u64 {
-        let in_block: HashSet<TensorId> = block
-            .non_gemm
-            .iter()
-            .flat_map(|&id| graph.node(id).outputs.iter().copied())
-            .collect();
-        let gemm_out: HashSet<TensorId> = block
-            .gemm
-            .iter()
-            .flat_map(|&id| graph.node(id).outputs.iter().copied())
-            .collect();
-        // Activations live in DRAM as INT8 (the cast stream converts at
-        // the boundary), so cross-block traffic is one byte per element.
-        let mut bytes = 0u64;
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            for &input in &node.inputs {
-                let t = graph.tensor(input);
-                if !t.is_weight && !in_block.contains(&input) && !gemm_out.contains(&input) {
-                    bytes += t.shape.elements() as u64;
-                }
-            }
-            for &output in &node.outputs {
-                let consumed_outside = consumers[output.index()]
-                    .iter()
-                    .any(|id| !block.non_gemm.contains(id))
-                    || graph.outputs().contains(&output);
-                if consumed_outside {
-                    bytes += graph.tensor(output).shape.elements() as u64;
-                }
-            }
-        }
-        bytes
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_block(
         &self,
-        graph: &Graph,
-        block: &ExecutionBlock,
-        consumers: &[Vec<NodeId>],
-        proc: &mut TandemProcessor,
-        dram: &mut Dram,
+        plan: &GraphPlan,
+        block: &BlockPlan,
+        machine: &mut Machine,
         report: &mut NpuReport,
         sink: &mut dyn TraceSink,
         exposed: &mut u64,
@@ -755,9 +728,8 @@ impl Npu {
         let cursor = report.total_cycles;
         // --- Tandem side: compile + simulate each non-GEMM node ---
         let mut tandem_total = RunReport::default();
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            let r = self.tandem_node_report(graph, node, proc, dram);
+        for node in &block.nodes {
+            let r = self.tandem_node_report(plan.graph, node, machine);
             *report.per_kind_cycles.entry(node.kind).or_default() += r.compute_cycles;
             tandem_total.merge(&r);
         }
@@ -765,17 +737,15 @@ impl Npu {
         // block's output activations (paper §3.4: "a datatype casting
         // instruction is required when activations move from non-GEMM to
         // GEMM unit").
-        if !block.non_gemm.is_empty() {
-            let last = graph.node(*block.non_gemm.last().expect("non-empty"));
-            let out_elems = graph.tensor(last.outputs[0]).shape.elements() as u64;
-            let cast = self.cast_stream_report(out_elems);
+        if !block.nodes.is_empty() {
+            let cast = self.cast_stream_report(block.cast_elems);
             *report
                 .per_kind_cycles
                 .entry(tandem_model::OpKind::Cast)
                 .or_default() += cast.compute_cycles;
             tandem_total.merge(&cast);
         }
-        let tandem_dram_bytes = self.block_tandem_dram_bytes(graph, block, consumers);
+        let tandem_dram_bytes = block.tandem_dram_bytes;
         let dma_cycles =
             (tandem_dram_bytes as f64 / (self.cfg.tandem.dram_words_per_cycle * 4.0)).ceil() as u64;
         tandem_total.dma_cycles += dma_cycles;
@@ -790,12 +760,10 @@ impl Npu {
         // and this block's first-tile fill after prefetch hiding.
         let mut gemm_dram_busy = 0u64;
         let mut gemm_fill_cycles = 0u64;
-        let (gemm_total_cycles, gemm_tile_cycles, tiles) = match block.gemm {
-            Some(id) => {
-                let node = graph.node(id);
-                let w = self.gemm_workload(graph, node);
-                let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
-                let tile_rows = match self.gemm_tile_override(graph, node) {
+        let (gemm_total_cycles, gemm_tile_cycles, tiles) = match &block.gemm {
+            Some(g) => {
+                let (w, cap) = (g.workload, g.cap);
+                let tile_rows = match self.gemm_tile_override(plan, g) {
                     Some(m_rows) => m_rows.clamp(1, cap),
                     None => cap,
                 };
@@ -806,7 +774,7 @@ impl Npu {
                 report.gemm_macs += whole.macs;
                 report.gemm_dram_bytes += whole.dram_bytes;
                 report.gemm_energy_nj += whole.energy_nj;
-                *report.per_kind_cycles.entry(node.kind).or_default() += whole.overlapped_cycles();
+                *report.per_kind_cycles.entry(g.kind).or_default() += whole.overlapped_cycles();
                 report.busy.gemm_cycles += whole.compute_cycles;
                 gemm_compute_cycles = whole.compute_cycles;
                 gemm_detail = Some((w, m_tile));
@@ -815,7 +783,7 @@ impl Npu {
                 // stream during the previous block's idle-channel window
                 // (`*exposed`), shrinking the first tile's weight load.
                 // The total traffic is unchanged — only its placement.
-                let hidden = if self.prefetch_enabled(graph, node) {
+                let hidden = if self.prefetch_enabled(plan, g) {
                     let gcfg = self.gemm.config();
                     let weight_bytes = w.k * w.n;
                     let half = (gcfg.scratchpad_bytes / 2) as u64;
@@ -836,7 +804,7 @@ impl Npu {
                     .compute_cycles
                     .max(tile.dram_cycles.saturating_sub(hidden));
                 gemm_fill_cycles = fill;
-                gemm_dram_busy = if block.non_gemm.is_empty() {
+                gemm_dram_busy = if block.nodes.is_empty() {
                     whole.dram_cycles.saturating_sub(hidden)
                 } else {
                     (tiles * tile.dram_cycles).saturating_sub(hidden)
@@ -866,7 +834,7 @@ impl Npu {
             .dma_cycles
             .saturating_sub(tandem_total.compute_cycles);
         let mut attr = CycleAttribution::default();
-        let block_cycles = match (block.gemm.is_some(), block.non_gemm.is_empty()) {
+        let block_cycles = match (block.gemm.is_some(), block.nodes.is_empty()) {
             (true, true) => {
                 attr.gemm_compute = gemm_compute_cycles.min(gemm_total_cycles);
                 attr.dae_wait = gemm_total_cycles - attr.gemm_compute;
@@ -906,12 +874,7 @@ impl Npu {
                 TileGranularity::Layer => {
                     // Serial handoff through DRAM: the whole GEMM output
                     // spills and re-loads.
-                    let spill_bytes = block
-                        .gemm
-                        .map(|id| {
-                            graph.tensor(graph.node(id).outputs[0]).shape.elements() as u64 * 4 * 2
-                        })
-                        .unwrap_or(0);
+                    let spill_bytes = block.gemm.as_ref().map_or(0, |g| g.out_elems * 4 * 2);
                     let spill = (spill_bytes as f64 / (self.cfg.tandem.dram_words_per_cycle * 4.0))
                         .ceil() as u64;
                     attr.gemm_compute = gemm_compute_cycles.min(gemm_total_cycles);
@@ -935,10 +898,9 @@ impl Npu {
         *exposed = block_cycles.saturating_sub(gemm_dram_busy);
         if sink.enabled() {
             self.trace_block(
-                graph,
+                plan.graph,
                 block,
-                proc,
-                dram,
+                machine,
                 cursor,
                 block_cycles,
                 tiles,
@@ -967,9 +929,8 @@ impl Npu {
     fn trace_block(
         &self,
         graph: &Graph,
-        block: &ExecutionBlock,
-        proc: &mut TandemProcessor,
-        dram: &mut Dram,
+        planned: &BlockPlan,
+        machine: &mut Machine,
         cursor: u64,
         block_cycles: u64,
         tiles: u64,
@@ -984,6 +945,7 @@ impl Npu {
         // span (its `tiles` arg records how many) so huge layers stay
         // loadable in the viewer.
         const DETAIL_TILES: u64 = 32;
+        let block = &planned.block;
         let kind = block.kind();
         let label = match (block.gemm, block.non_gemm.first()) {
             (Some(g), _) => graph.node(g).name.as_str(),
@@ -1061,7 +1023,7 @@ impl Npu {
                         &[],
                     );
                 }
-                self.trace_programs(graph, block, proc, dram, cursor, sink);
+                self.trace_programs(graph, planned, machine, cursor, sink);
                 for _ in 0..tiles {
                     ctrl.on_event(ControllerEvent::TandemDone);
                 }
@@ -1144,7 +1106,7 @@ impl Npu {
                     }
                     self.trace_gemm_passes(gemm_detail, cursor, sink);
                     self.trace_dae_stream(tandem_total, cursor + g, sink);
-                    self.trace_programs(graph, block, proc, dram, cursor + g, sink);
+                    self.trace_programs(graph, planned, machine, cursor + g, sink);
                     for k in 0..tiles {
                         ctrl.on_event(ControllerEvent::GemmTileDone);
                         ctrl.on_event(ControllerEvent::ObufReleased);
@@ -1208,7 +1170,7 @@ impl Npu {
                         &[("ops", block.non_gemm.len() as u64)],
                     );
                     self.trace_dae_stream(tandem_total, tandem_start, sink);
-                    self.trace_programs(graph, block, proc, dram, tandem_start, sink);
+                    self.trace_programs(graph, planned, machine, tandem_start, sink);
                     for _ in 0..tiles {
                         ctrl.on_event(ControllerEvent::GemmTileDone);
                         ctrl.on_event(ControllerEvent::ObufReleased);
@@ -1239,7 +1201,7 @@ impl Npu {
     }
 
     /// The block's Data Access Engine activity: DRAM traffic is modeled
-    /// analytically per block (`block_tandem_dram_bytes`), so the DAE
+    /// analytically per block (planned once per graph), so the DAE
     /// track shows it as one double-buffered stream span alongside the
     /// Tandem compute it overlaps.
     fn trace_dae_stream(&self, tandem_total: &RunReport, start: u64, sink: &mut dyn TraceSink) {
@@ -1283,16 +1245,15 @@ impl Npu {
     fn trace_programs(
         &self,
         graph: &Graph,
-        block: &ExecutionBlock,
-        proc: &mut TandemProcessor,
-        dram: &mut Dram,
+        block: &BlockPlan,
+        machine: &mut Machine,
         start: u64,
         sink: &mut dyn TraceSink,
     ) {
+        let (proc, dram) = machine.get();
         let mut at = start;
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            let compiled = self.lower(&self.signature(graph, node), graph, node);
+        for node in &block.nodes {
+            let compiled = self.lower(graph, node);
             let Ok(c) = compiled.as_ref() else { continue };
             for (prog, reps) in &c.tiles {
                 let one = {

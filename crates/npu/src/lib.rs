@@ -19,10 +19,15 @@
 //!   Processor's specializations (vector-register-file load/stores,
 //!   branch-based loops, software address calculation, FIFO coupling,
 //!   special-function units), generating Figures 6, 8, 18 and 19;
+//! * [`GraphPlan`] — the schedule-independent part of evaluating a graph
+//!   (execution blocks, interned node signatures and site keys, per-block
+//!   DRAM traffic and GEMM workloads), built once and walked by every
+//!   run, verify and tuning-site enumeration;
 //! * five memoization caches — compile, verify, node simulation, GEMM
 //!   report and whole graph — all one private get-or-compute table type
-//!   keyed on the node's signature (or the GEMM workload, or the graph
-//!   digest) and shared by every clone and sibling of an [`Npu`];
+//!   keyed on compact `Copy` keys (a node's interned signature id and
+//!   schedule choice, the GEMM workload, or the graph digest) and shared
+//!   by every clone and sibling of an [`Npu`];
 //!   [`Npu::uncached`] is the same code over a *disabled* cache set, so
 //!   the reference path the determinism tests compare against is the
 //!   cached path minus the maps. Per-run wall-time and hit/miss counters
@@ -49,6 +54,7 @@ mod executor;
 mod knobs;
 mod memo;
 mod par;
+mod plan;
 mod report;
 
 pub use controller::{ControllerEvent, ControllerState, ExecutionController};
@@ -57,6 +63,7 @@ pub use dse::{pareto_frontier, sweep, DesignPoint, DseResult};
 pub use executor::{run_matrix, Npu, NpuConfig, ServiceDemand, TileGranularity};
 pub use knobs::Despecialization;
 pub use par::par_map;
+pub use plan::GraphPlan;
 
 // Re-exported so the autotuner (and other schedule-carrying callers) can
 // fill [`NpuConfig::schedule`] and consume [`Npu::tune_sites`] without

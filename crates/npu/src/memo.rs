@@ -6,21 +6,31 @@
 //! table keeps the same call shape but holds no map: it runs the compute
 //! closure on every call and counts nothing, which is how
 //! [`crate::Npu::uncached`] becomes the cached code minus the map.
+//!
+//! The tables are keyed by small `Copy` values: an [`Interner`] names
+//! each distinct node signature by a dense id once per graph plan, so a
+//! lookup hashes a few words (with [`WordHasher`], not SipHash) instead
+//! of the signature's shape vectors. Warm lookups only read, so the map
+//! sits behind a reader-writer lock: concurrent workers scoring
+//! candidates against one hub do not block each other.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock};
 
 /// `compute` runs outside the lock, so only a panic inside the map's own
 /// operations can poison it.
 const POISONED: &str = "memo table lock poisoned by a panic inside the map";
 
+/// A hash map over [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// A thread-safe get-or-compute table with hit/miss counters.
 #[derive(Debug)]
 pub(crate) struct Memo<K, V> {
     /// `None` when the table is disabled.
-    map: Option<Mutex<HashMap<K, V>>>,
+    map: Option<RwLock<WordMap<K, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -29,7 +39,7 @@ impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
     /// An empty table; `enabled = false` builds the pass-through table.
     pub(crate) fn new(enabled: bool) -> Self {
         Memo {
-            map: enabled.then(Mutex::default),
+            map: enabled.then(RwLock::default),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -43,13 +53,13 @@ impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
         let Some(map) = &self.map else {
             return compute();
         };
-        if let Some(hit) = map.lock().expect(POISONED).get(key) {
+        if let Some(hit) = map.read().expect(POISONED).get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = compute();
-        let mut map = map.lock().expect(POISONED);
+        let mut map = map.write().expect(POISONED);
         map.entry(key.clone()).or_insert(fresh).clone()
     }
 
@@ -61,6 +71,81 @@ impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
     /// Lookups that had to compute so far.
     pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+}
+
+/// Dense `u32` ids for values, assigned by full equality in first-seen
+/// order: equal values share an id and distinct values never do, so an
+/// id can stand in for its value in a memo key.
+#[derive(Debug)]
+pub(crate) struct Interner<T> {
+    ids: Mutex<WordMap<T, u32>>,
+}
+
+impl<T: Eq + Hash> Interner<T> {
+    /// An empty table.
+    pub(crate) fn new() -> Self {
+        Interner {
+            ids: Mutex::default(),
+        }
+    }
+
+    /// The id of `value`, assigning the next free one on first sight.
+    pub(crate) fn intern(&self, value: T) -> u32 {
+        let mut ids = self.ids.lock().expect(POISONED);
+        let next = u32::try_from(ids.len()).expect("fewer than 2^32 distinct values");
+        *ids.entry(value).or_insert(next)
+    }
+}
+
+/// A multiply-rotate word hasher (the FxHash construction): a few cycles
+/// per word where SipHash spends tens. The memo keys are the executor's
+/// own ids, shapes and digests, never adversarial input, so SipHash's
+/// flooding resistance buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits down
+        // to where the map takes its bucket index.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
     }
 }
 
@@ -135,5 +220,14 @@ mod tests {
         }
         assert_eq!(computed, 3);
         assert_eq!(memo.hits() + memo.misses(), 0);
+    }
+
+    #[test]
+    fn interned_ids_are_dense_and_follow_equality() {
+        let table = Interner::new();
+        assert_eq!(table.intern("relu"), 0);
+        assert_eq!(table.intern("add"), 1);
+        assert_eq!(table.intern("relu"), 0);
+        assert_eq!(table.intern("softmax"), 2);
     }
 }

@@ -13,13 +13,17 @@
 //!    [`Candidate::schedule`] compiles it into the
 //!    [`tandem_compiler::CompileOptions::schedule`] /
 //!    [`tandem_npu::NpuConfig::schedule`] the stack already understands.
-//! 2. **Gate** — every fresh candidate runs [`tandem_npu::Npu::verify`]
-//!    (widened `tandem-verify`, memoized per node signature) on a
-//!    [`tandem_npu::Npu::sibling`] of one cache hub; error findings
+//! 2. **Gate** — every fresh candidate runs
+//!    [`tandem_npu::Npu::verify_plan`] (widened `tandem-verify`, memoized
+//!    per interned node signature and choice) on a
+//!    [`tandem_npu::Npu::sibling`] of one cache hub, against the
+//!    [`tandem_npu::GraphPlan`] built once per search; error findings
 //!    reject it before it is scored.
-//! 3. **Score** — accepted candidates run on siblings of the same hub,
-//!    so repeated `(site, choice)` decisions verify and simulate once
-//!    across the whole search.
+//! 3. **Score** — accepted candidates run
+//!    [`tandem_npu::Npu::run_plan`] on siblings of the same hub, so
+//!    repeated `(site, choice)` decisions verify and simulate once across
+//!    the whole search, and a warm candidate costs one schedule lookup
+//!    and one memo lookup per node.
 //! 4. **Search** — a single-site seeding sweep over the tunable sites
 //!    in site order, a greedy coordinate-descent composite, then
 //!    beam-elite evolution (point mutation of a uniformly drawn tunable

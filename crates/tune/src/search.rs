@@ -11,19 +11,21 @@
 //! wall-time, never results. Wall-times are reported separately and are
 //! the only nondeterministic fields.
 //!
-//! Gate and score run on [`Npu::sibling`]s of one cache hub: every
-//! candidate reuses the per-node verify outcome and simulation of each
-//! `(site, choice)` decision the search has already paid for, which is
-//! what makes hundreds of whole-graph evaluations affordable. The gate,
-//! [`Npu::verify`], rejects any candidate with error-severity findings
-//! before it is ever scored.
+//! Gate and score run on [`Npu::sibling`]s of one cache hub, against one
+//! [`GraphPlan`] built per search: every candidate reuses the per-node
+//! verify outcome and simulation of each `(site, choice)` decision the
+//! search has already paid for, and a warm candidate costs one schedule
+//! lookup and one memo lookup per node, which is what makes hundreds of
+//! whole-graph evaluations affordable. The gate, [`Npu::verify_plan`],
+//! rejects any candidate with error-severity findings before it is ever
+//! scored.
 
 use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
 use std::time::Instant;
 use tandem_compiler::TileChoice;
 use tandem_model::{Graph, SplitMix64};
-use tandem_npu::{par_map, Npu};
+use tandem_npu::{par_map, GraphPlan, Npu};
 
 /// Search-driver options.
 #[derive(Debug, Clone)]
@@ -183,10 +185,11 @@ pub fn tune_graph(npu: &Npu, graph: &Graph, opts: &TuneOptions) -> TuneOutcome {
 }
 
 /// Candidate evaluation: the verify gate and the score, both through
-/// cache-sharing siblings and both pure functions of the candidate.
+/// cache-sharing siblings against the search's one graph plan, and both
+/// pure functions of the candidate.
 struct Evaluator<'a> {
     npu: &'a Npu,
-    graph: &'a Graph,
+    plan: GraphPlan<'a>,
 }
 
 impl Evaluator<'_> {
@@ -195,7 +198,7 @@ impl Evaluator<'_> {
     fn verify_ok(&self, cand: &Candidate) -> bool {
         let mut cfg = self.npu.config().clone();
         cfg.schedule = cand.schedule();
-        self.npu.sibling(cfg).verify(self.graph).is_clean()
+        self.npu.sibling(cfg).verify_plan(&self.plan).is_clean()
     }
 
     /// Simulated end-to-end cycles of the candidate, through a sibling
@@ -206,7 +209,7 @@ impl Evaluator<'_> {
         let mut cfg = self.npu.config().clone();
         cfg.verify = false;
         cfg.schedule = cand.schedule();
-        self.npu.sibling(cfg).run(self.graph).total_cycles
+        self.npu.sibling(cfg).run_plan(&self.plan).total_cycles
     }
 }
 
@@ -217,7 +220,10 @@ pub fn tune_in_space(
     space: &SearchSpace,
     opts: &TuneOptions,
 ) -> TuneOutcome {
-    let eval = Evaluator { npu, graph };
+    let eval = Evaluator {
+        npu,
+        plan: npu.plan(graph),
+    };
     let mut rng = SplitMix64::new(opts.seed);
     // digest → Some(cycles) accepted / None rejected.
     let mut memo: HashMap<u64, Option<u64>> = HashMap::new();

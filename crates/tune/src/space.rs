@@ -228,7 +228,6 @@ mod tests {
             key,
             name: format!("s{key}"),
             node,
-            instances: 1,
             baseline: cands[0],
             candidates: cands,
         };
